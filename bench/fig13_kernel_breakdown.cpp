@@ -94,7 +94,7 @@ main(int argc, char **argv)
             cfg.graph_capture = graph;
             model::KernelModel m(params, cfg);
             const auto att = m.run_attributed(
-                m.keyswitch_kernels_named(params.max_level));
+                m.kernels(model::Op::keyswitch, params.max_level));
             const auto &s = att.schedule;
             const double frac =
                 s.seconds > 0 ? s.launch_s / s.seconds : 0;

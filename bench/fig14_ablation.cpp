@@ -44,7 +44,7 @@ main(int argc, char **argv)
         std::vector<std::string> row = {rung.name};
         for (size_t i = 0; i < std::size(apps_list); ++i) {
             const double s =
-                apps::run_schedule(apps_list[i].make(rung.params), m);
+                apps::run_schedule(apps_list[i].make(rung.params), m).seconds;
             if (base.size() <= i)
                 base.push_back(s);
             row.push_back(strfmt("%.3f (%s)", s / base[i],

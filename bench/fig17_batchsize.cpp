@@ -37,7 +37,7 @@ main(int argc, char **argv)
         auto make_time = [&](size_t bs) {
             auto b = baselines::make_neo('C');
             b.params.batch = bs;
-            return apps::run_schedule(app.make(b.params), b.model());
+            return apps::run_schedule(app.make(b.params), b.model()).seconds;
         };
         const double ref = make_time(128);
         std::vector<std::string> row = {app.name};

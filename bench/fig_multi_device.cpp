@@ -54,7 +54,7 @@ main(int argc, char **argv)
             double comm2 = 0;
             for (const size_t d : device_counts) {
                 cfg.devices = d;
-                const auto sc = shard::model_sharded_keyswitch(
+                const auto sc = shard::model_keyswitch(
                     params, params.max_level, cfg);
                 if (d == 1)
                     single = sc.single_seconds;

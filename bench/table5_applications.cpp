@@ -20,17 +20,22 @@ struct PaperRow
     double boot, helr, r20, r32, r56;
 };
 
+/// Modeled total of one application schedule.
+double
+app_s(const apps::Schedule &s, const model::KernelModel &m)
+{
+    return apps::run_schedule(s, m).seconds;
+}
+
 void
 add_row(TextTable &t, const baselines::Backend &b, const PaperRow *paper)
 {
     auto m = b.model();
-    const double boot =
-        apps::run_schedule(apps::pack_bootstrap(b.params), m);
-    const double helr =
-        apps::run_schedule(apps::helr_iteration(b.params), m);
-    const double r20 = apps::run_schedule(apps::resnet(b.params, 20), m);
-    const double r32 = apps::run_schedule(apps::resnet(b.params, 32), m);
-    const double r56 = apps::run_schedule(apps::resnet(b.params, 56), m);
+    const double boot = app_s(apps::pack_bootstrap(b.params), m);
+    const double helr = app_s(apps::helr_iteration(b.params), m);
+    const double r20 = app_s(apps::resnet(b.params, 20), m);
+    const double r32 = app_s(apps::resnet(b.params, 32), m);
+    const double r56 = app_s(apps::resnet(b.params, 56), m);
     auto cell = [&](double ours, double pap) {
         return paper ? strfmt("%8.2f (%7.2f)", ours, pap)
                      : strfmt("%8.2f", ours);
@@ -104,20 +109,16 @@ main(int argc, char **argv)
     for (char set : {'A', 'B', 'C'}) {
         auto b = baselines::make_tensorfhe(set);
         auto m = b.model();
-        double tot =
-            apps::run_schedule(apps::pack_bootstrap(b.params), m) +
-            apps::run_schedule(apps::helr_iteration(b.params), m) +
-            apps::run_schedule(apps::resnet(b.params, 20), m);
+        double tot = app_s(apps::pack_bootstrap(b.params), m) +
+                     app_s(apps::helr_iteration(b.params), m) +
+                     app_s(apps::resnet(b.params, 20), m);
         tfhe_total = std::min(tfhe_total, tot);
     }
     {
         auto m = neo.model();
-        const double boot =
-            apps::run_schedule(apps::pack_bootstrap(neo.params), m);
-        const double helr =
-            apps::run_schedule(apps::helr_iteration(neo.params), m);
-        const double r20 =
-            apps::run_schedule(apps::resnet(neo.params, 20), m);
+        const double boot = app_s(apps::pack_bootstrap(neo.params), m);
+        const double helr = app_s(apps::helr_iteration(neo.params), m);
+        const double r20 = app_s(apps::resnet(neo.params, 20), m);
         neo_total = boot + helr + r20;
         report.metric("neo_c.bootstrap_s", boot);
         report.metric("neo_c.helr_s", helr);
@@ -135,12 +136,9 @@ main(int argc, char **argv)
     // model noise; gated via the neo.bench/1 baseline compare).
     {
         auto m = neo_auto.model();
-        const double boot =
-            apps::run_schedule(apps::pack_bootstrap(neo_auto.params), m);
-        const double helr =
-            apps::run_schedule(apps::helr_iteration(neo_auto.params), m);
-        const double r20 =
-            apps::run_schedule(apps::resnet(neo_auto.params, 20), m);
+        const double boot = app_s(apps::pack_bootstrap(neo_auto.params), m);
+        const double helr = app_s(apps::helr_iteration(neo_auto.params), m);
+        const double r20 = app_s(apps::resnet(neo_auto.params, 20), m);
         report.metric("neo_c_auto.bootstrap_s", boot);
         report.metric("neo_c_auto.helr_s", helr);
         report.metric("neo_c_auto.resnet20_s", r20);

@@ -11,6 +11,7 @@
 #include "common/table.h"
 
 using namespace neo;
+using model::Op;
 
 int
 main(int argc, char **argv)
@@ -34,28 +35,29 @@ main(int argc, char **argv)
     // Where one KeySwitch spends its time.
     std::printf("KeySwitch kernel walk at l = %zu:\n", p.max_level);
     TextTable kt;
-    kt.header({"#", "cuda", "tcu", "mem", "kernel time"});
-    auto kernels = m.keyswitch_kernels(p.max_level);
-    int idx = 0;
-    for (const auto &k : kernels) {
-        kt.row({strfmt("%d", idx++), format_time(k.cuda_time(dev)),
+    kt.header({"kernel", "cuda", "tcu", "mem", "kernel time"});
+    for (const auto &nk : m.kernels(Op::keyswitch, p.max_level)) {
+        const auto &k = nk.cost;
+        kt.row({nk.name, format_time(k.cuda_time(dev)),
                 format_time(k.tcu_time(dev)),
                 format_time(k.mem_time(dev)),
                 format_time(k.time(dev, true))});
     }
     kt.print();
     std::printf("KeySwitch total (amortized per batched ct): %s\n\n",
-                format_time(m.keyswitch_time(p.max_level)).c_str());
+                format_time(m.time(Op::keyswitch, p.max_level))
+                    .c_str());
 
     // Operation costs across levels.
     std::printf("Operation costs by level:\n");
     TextTable ot;
     ot.header({"l", "HMULT", "HROTATE", "PMULT", "Rescale"});
     for (i64 l = static_cast<i64>(p.max_level); l >= 5; l -= 10) {
-        ot.row({strfmt("%lld", static_cast<long long>(l)), format_time(m.hmult_time(l)),
-                format_time(m.hrotate_time(l)),
-                format_time(m.pmult_time(l)),
-                format_time(m.rescale_time(l))});
+        ot.row({strfmt("%lld", static_cast<long long>(l)),
+                format_time(m.time(Op::hmult, l)),
+                format_time(m.time(Op::hrotate, l)),
+                format_time(m.time(Op::pmult, l)),
+                format_time(m.time(Op::rescale, l))});
     }
     ot.print();
 
@@ -63,12 +65,12 @@ main(int argc, char **argv)
     std::printf("\nApplication projections:\n");
     TextTable at;
     at.header({"app", "projected time"});
-    at.row({"PackBootstrap",
-            format_time(apps::run_schedule(apps::pack_bootstrap(p), m))});
-    at.row({"HELR iteration",
-            format_time(apps::run_schedule(apps::helr_iteration(p), m))});
-    at.row({"ResNet-20",
-            format_time(apps::run_schedule(apps::resnet(p, 20), m))});
+    const auto app = [&](const apps::Schedule &s) {
+        return format_time(apps::run_schedule(s, m).seconds);
+    };
+    at.row({"PackBootstrap", app(apps::pack_bootstrap(p))});
+    at.row({"HELR iteration", app(apps::helr_iteration(p))});
+    at.row({"ResNet-20", app(apps::resnet(p, 20))});
     at.print();
     std::printf("\nTry: %s D   (60-bit Set-D parameters)\n",
                 argc > 0 ? argv[0] : "performance_explorer");

@@ -1,6 +1,7 @@
 #include "apps/schedules.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -17,7 +18,7 @@ lvl(const ckks::CkksParams &p, i64 level)
 }
 
 void
-push(Schedule &s, OpKind op, size_t level, double count)
+push(Schedule &s, Op op, size_t level, double count)
 {
     if (count > 0)
         s.ops.push_back({op, level, count});
@@ -26,7 +27,7 @@ push(Schedule &s, OpKind op, size_t level, double count)
 } // namespace
 
 double
-Schedule::total(OpKind k) const
+Schedule::total(Op k) const
 {
     double c = 0;
     for (const auto &o : ops) {
@@ -49,12 +50,12 @@ pack_bootstrap(const ckks::CkksParams &p)
     // real/imag parts at the end.
     for (int stage = 0; stage < 3; ++stage) {
         const size_t at = lvl(p, top - stage);
-        push(s, OpKind::hrotate, at, 16);
-        push(s, OpKind::pmult, at, 63);
-        push(s, OpKind::hadd, at, 63);
-        push(s, OpKind::rescale, at, 1);
+        push(s, Op::hrotate, at, 16);
+        push(s, Op::pmult, at, 63);
+        push(s, Op::hadd, at, 63);
+        push(s, Op::rescale, at, 1);
     }
-    push(s, OpKind::hrotate, lvl(p, top - 3), 1); // conjugation
+    push(s, Op::hrotate, lvl(p, top - 3), 1); // conjugation
 
     // EvalMod: degree-63 Chebyshev of the scaled sine plus 2
     // double-angle steps — 12 non-scalar multiplications and their
@@ -62,22 +63,22 @@ pack_bootstrap(const ckks::CkksParams &p)
     const bool use_ds = p.word_size < 40;
     for (int m = 0; m < 12; ++m) {
         const size_t at = lvl(p, top - 4 - m);
-        push(s, OpKind::hmult, at, 1);
-        push(s, use_ds && m % 2 == 0 ? OpKind::double_rescale
-                                     : OpKind::rescale,
+        push(s, Op::hmult, at, 1);
+        push(s, use_ds && m % 2 == 0 ? Op::double_rescale
+                                     : Op::rescale,
              at, 1);
     }
-    push(s, OpKind::pmult, lvl(p, top - 8), 26);
-    push(s, OpKind::padd, lvl(p, top - 8), 26);
-    push(s, OpKind::hadd, lvl(p, top - 8), 12);
+    push(s, Op::pmult, lvl(p, top - 8), 26);
+    push(s, Op::padd, lvl(p, top - 8), 26);
+    push(s, Op::hadd, lvl(p, top - 8), 12);
 
     // SlotToCoeff: 3 more BSGS stages at the lower levels.
     for (int stage = 0; stage < 3; ++stage) {
         const size_t at = lvl(p, top - 17 - stage);
-        push(s, OpKind::hrotate, at, 16);
-        push(s, OpKind::pmult, at, 63);
-        push(s, OpKind::hadd, at, 63);
-        push(s, OpKind::rescale, at, 1);
+        push(s, Op::hrotate, at, 16);
+        push(s, Op::pmult, at, 63);
+        push(s, Op::hadd, at, 63);
+        push(s, Op::rescale, at, 1);
     }
     return s;
 }
@@ -91,23 +92,23 @@ helr_iteration(const ckks::CkksParams &p)
 
     // X·w: rotate-and-sum over the 196-feature dimension packed into
     // slot groups (log2(256) = 8 rotations), one PMULT per block.
-    push(s, OpKind::hrotate, lvl(p, top), 8);
-    push(s, OpKind::pmult, lvl(p, top), 4);
-    push(s, OpKind::hmult, lvl(p, top), 2);
-    push(s, OpKind::rescale, lvl(p, top), 2);
+    push(s, Op::hrotate, lvl(p, top), 8);
+    push(s, Op::pmult, lvl(p, top), 4);
+    push(s, Op::hmult, lvl(p, top), 2);
+    push(s, Op::rescale, lvl(p, top), 2);
 
     // Degree-3 sigmoid approximation.
-    push(s, OpKind::hmult, lvl(p, top - 1), 2);
-    push(s, OpKind::rescale, lvl(p, top - 1), 2);
-    push(s, OpKind::pmult, lvl(p, top - 1), 3);
-    push(s, OpKind::padd, lvl(p, top - 1), 3);
+    push(s, Op::hmult, lvl(p, top - 1), 2);
+    push(s, Op::rescale, lvl(p, top - 1), 2);
+    push(s, Op::pmult, lvl(p, top - 1), 3);
+    push(s, Op::padd, lvl(p, top - 1), 3);
 
     // Gradient: X^T·(σ(z) - y) by rotate-and-sum, then the update.
-    push(s, OpKind::hrotate, lvl(p, top - 2), 8);
-    push(s, OpKind::hmult, lvl(p, top - 2), 1);
-    push(s, OpKind::rescale, lvl(p, top - 2), 1);
-    push(s, OpKind::pmult, lvl(p, top - 3), 2);
-    push(s, OpKind::hadd, lvl(p, top - 3), 4);
+    push(s, Op::hrotate, lvl(p, top - 2), 8);
+    push(s, Op::hmult, lvl(p, top - 2), 1);
+    push(s, Op::rescale, lvl(p, top - 2), 1);
+    push(s, Op::pmult, lvl(p, top - 3), 2);
+    push(s, Op::hadd, lvl(p, top - 3), 4);
 
     // One refresh bootstrap per iteration keeps the budget positive
     // across the 32 training iterations.
@@ -136,58 +137,97 @@ resnet(const ckks::CkksParams &p, int layers)
         const double conv_rot = 28.0 + 6.0 * std::min(stage, 2);
         const double conv_pmult = 30.0 + 6.0 * std::min(stage, 2);
         const size_t at = lvl(p, top - (layer % 6));
-        push(s, OpKind::hrotate, at, conv_rot);
-        push(s, OpKind::pmult, at, conv_pmult);
-        push(s, OpKind::hadd, at, conv_pmult);
-        push(s, OpKind::rescale, at, 2);
-        push(s, OpKind::hmult, lvl(p, at - 1), relu_mult);
-        push(s, OpKind::rescale, lvl(p, at - 1), relu_mult);
+        push(s, Op::hrotate, at, conv_rot);
+        push(s, Op::pmult, at, conv_pmult);
+        push(s, Op::hadd, at, conv_pmult);
+        push(s, Op::rescale, at, 2);
+        push(s, Op::hmult, lvl(p, at - 1), relu_mult);
+        push(s, Op::rescale, lvl(p, at - 1), relu_mult);
     }
     // Final average-pool + fully connected layer.
-    push(s, OpKind::hrotate, lvl(p, 4), 16);
-    push(s, OpKind::pmult, lvl(p, 4), 10);
-    push(s, OpKind::hadd, lvl(p, 4), 16);
+    push(s, Op::hrotate, lvl(p, 4), 16);
+    push(s, Op::pmult, lvl(p, 4), 10);
+    push(s, Op::hadd, lvl(p, 4), 16);
 
     s.bootstraps = layers; // one refresh per layer block
     return s;
 }
 
-double
-run_schedule(const Schedule &s, const model::KernelModel &m)
+namespace {
+
+using model::KernelModel;
+
+/// Fold @p att, weighted by @p mult invocations, into @p out.
+void
+accumulate(KernelModel::AttributedSchedule &out,
+           const KernelModel::AttributedSchedule &att, double mult)
 {
-    double t = 0;
-    for (const auto &o : s.ops) {
-        double per = 0;
-        switch (o.op) {
-          case OpKind::hmult:
-            per = m.hmult_time(o.level);
-            break;
-          case OpKind::hrotate:
-            per = m.hrotate_time(o.level);
-            break;
-          case OpKind::pmult:
-            per = m.pmult_time(o.level);
-            break;
-          case OpKind::hadd:
-            per = m.hadd_time(o.level);
-            break;
-          case OpKind::padd:
-            per = m.padd_time(o.level);
-            break;
-          case OpKind::rescale:
-            per = m.rescale_time(o.level);
-            break;
-          case OpKind::double_rescale:
-            per = m.double_rescale_time(o.level);
-            break;
+    const auto times = [mult](u64 n) {
+        return static_cast<u64>(std::llround(mult * static_cast<double>(n)));
+    };
+    for (const auto &row : att.kernels) {
+        KernelModel::KernelAttribution *dst = nullptr;
+        for (auto &k : out.kernels)
+            if (k.name == row.name)
+                dst = &k;
+        if (dst == nullptr) {
+            out.kernels.emplace_back();
+            dst = &out.kernels.back();
+            dst->name = row.name;
         }
-        t += per * o.count;
+        dst->calls += times(row.calls);
+        dst->fused += times(row.fused);
+        dst->modeled_s += row.modeled_s * mult;
+        dst->compute_s += row.compute_s * mult;
+        dst->memory_s += row.memory_s * mult;
+        dst->launch_s += row.launch_s * mult;
+        dst->bytes += row.bytes * mult;
+        dst->macs += row.macs * mult;
+        dst->mod_ops += row.mod_ops * mult;
+        dst->int_ops += row.int_ops * mult;
+    }
+    auto &s = out.schedule;
+    const auto &a = att.schedule;
+    s.seconds += a.seconds * mult;
+    s.bytes += a.bytes * mult;
+    s.launches += a.launches * mult;
+    s.graph_launches += a.graph_launches * mult;
+    s.captured_launches += a.captured_launches * mult;
+    s.compute_s += a.compute_s * mult;
+    s.memory_s += a.memory_s * mult;
+    s.launch_s += a.launch_s * mult;
+    out.fused_kernels += times(att.fused_kernels);
+}
+
+/// Walk @p s, folding each op's rows in at @p mult times its count;
+/// returns the schedule's total for one invocation.
+double
+walk(const Schedule &s, const KernelModel &m, double mult,
+     KernelModel::AttributedSchedule &out)
+{
+    double total = 0;
+    for (const auto &o : s.ops) {
+        const auto att = m.run_attributed(m.kernels(o.op, o.level));
+        accumulate(out, att, mult * o.count);
+        total += att.seconds * o.count;
     }
     if (s.bootstraps > 0) {
         const Schedule bs = pack_bootstrap(m.params());
-        t += s.bootstraps * run_schedule(bs, m);
+        total += s.bootstraps * walk(bs, m, mult * s.bootstraps, out);
     }
-    return t;
+    return total;
+}
+
+} // namespace
+
+KernelModel::AttributedSchedule
+run_schedule(const Schedule &s, const KernelModel &m)
+{
+    KernelModel::AttributedSchedule out;
+    out.seconds = walk(s, m, 1.0, out);
+    for (auto &r : out.kernels)
+        r.fraction = out.seconds > 0 ? r.modeled_s / out.seconds : 0;
+    return out;
 }
 
 } // namespace neo::apps

@@ -33,22 +33,13 @@
 
 namespace neo::apps {
 
-/** Primitive operation kinds a schedule is made of. */
-enum class OpKind
-{
-    hmult,
-    hrotate,
-    pmult,
-    hadd,
-    padd,
-    rescale,
-    double_rescale,
-};
+/// Schedules are made of the operations the cost model prices.
+using model::Op;
 
 /** One schedule entry: @p count ops of kind @p op at level @p level. */
 struct OpCount
 {
-    OpKind op;
+    Op op;
     size_t level;
     double count;
 };
@@ -61,7 +52,7 @@ struct Schedule
     double bootstraps = 0; ///< embedded PackBootstrap invocations
 
     /// Total count of one op kind (for reporting).
-    double total(OpKind k) const;
+    double total(Op k) const;
 };
 
 /// Bootstrapping of one batch of ciphertexts.
@@ -73,7 +64,14 @@ Schedule helr_iteration(const ckks::CkksParams &params);
 /// ResNet-L CIFAR-10 inference, L ∈ {20, 32, 56}.
 Schedule resnet(const ckks::CkksParams &params, int layers);
 
-/// Wall time of @p s under @p m (embedded bootstraps included).
-double run_schedule(const Schedule &s, const model::KernelModel &m);
+/**
+ * Price @p s under @p m, embedded bootstraps included: `seconds` is
+ * the application total, and the rows are every op's attributed
+ * kernel list weighted by its multiplicity (calls, times and work
+ * scaled; rows sum to `seconds`). `schedule` holds the same weighted
+ * sums of each op's raw schedule totals.
+ */
+model::KernelModel::AttributedSchedule
+run_schedule(const Schedule &s, const model::KernelModel &m);
 
 } // namespace neo::apps

@@ -166,12 +166,4 @@ ScheduleResult run_schedule(const std::vector<KernelCost> &kernels,
                             const DeviceSpec &d,
                             const SchedulePolicy &policy);
 
-/// Back-compat shim: @p multistream only, graph capture off.
-inline ScheduleResult
-run_schedule(const std::vector<KernelCost> &kernels, const DeviceSpec &d,
-             bool multistream)
-{
-    return run_schedule(kernels, d, SchedulePolicy{multistream, false});
-}
-
 } // namespace neo::gpusim

@@ -285,7 +285,7 @@ KernelModel::auto_kernel(size_t limbs) const
 }
 
 std::vector<KernelModel::NamedKernel>
-KernelModel::keyswitch_kernels_named(size_t level) const
+KernelModel::keyswitch_list(size_t level) const
 {
     const size_t l = level;
     const size_t alpha = params_.alpha();
@@ -374,45 +374,70 @@ KernelModel::keyswitch_kernels_named(size_t level) const
 }
 
 std::vector<KernelModel::NamedKernel>
-KernelModel::hmult_kernels_named(size_t level) const
+KernelModel::kernels(Op op, size_t level) const
 {
-    auto ks = keyswitch_kernels_named(level);
-    // d0, d1, d2: four limb-wise multiplies and one add, then the
-    // switched d2 folds back with two adds.
-    ks.push_back({"tensor_modmul", modmul(4 * (level + 1))});
-    ks.push_back({"tensor_modadd", modadd(3 * (level + 1))});
-    return ks;
+    const int w = params_.word_size;
+    // Rescale: INTT of the input, the scalar fix of the kept limbs,
+    // NTT of the result.
+    const auto rescale = [&](size_t fix_limbs, size_t ntt_limbs) {
+        return std::vector<NamedKernel>{
+            {"rescale_intt", ntt(2 * (level + 1), w,
+                                 engine_for_stage("rescale_intt", level))},
+            {"rescale_fix", modmul(fix_limbs)},
+            {"rescale_ntt", ntt(ntt_limbs, w,
+                                engine_for_stage("rescale_ntt", level))}};
+    };
+    switch (op) {
+    case Op::keyswitch:
+        return keyswitch_list(level);
+    case Op::hmult: {
+        // d0, d1, d2: four limb-wise multiplies and one add, then the
+        // switched d2 folds back with two adds.
+        auto ks = keyswitch_list(level);
+        ks.push_back({"tensor_modmul", modmul(4 * (level + 1))});
+        ks.push_back({"tensor_modadd", modadd(3 * (level + 1))});
+        return ks;
+    }
+    case Op::hrotate: {
+        auto ks = keyswitch_list(level);
+        ks.push_back({"auto", auto_kernel(2 * (level + 1))});
+        ks.push_back({"rotate_modadd", modadd(level + 1)});
+        return ks;
+    }
+    case Op::pmult:
+        return {{"pmult", modmul(2 * (level + 1))}};
+    case Op::hadd:
+        return {{"hadd", modadd(2 * (level + 1))}};
+    case Op::padd:
+        return {{"padd", modadd(level + 1)}};
+    case Op::rescale:
+        return rescale(2 * level, 2 * level);
+    case Op::double_rescale:
+        // Fused double rescale: two limbs dropped in one pass.
+        return rescale(4 * level - 2, 2 * (level - 1));
+    }
+    NEO_ASSERT(false, "unknown op");
+    return {};
 }
 
-std::vector<KernelModel::NamedKernel>
-KernelModel::hrotate_kernels_named(size_t level) const
+gpusim::ScheduleResult
+KernelModel::schedule(const std::vector<NamedKernel> &kernels) const
 {
-    auto ks = keyswitch_kernels_named(level);
-    ks.push_back({"auto", auto_kernel(2 * (level + 1))});
-    ks.push_back({"rotate_modadd", modadd(level + 1)});
-    return ks;
-}
-
-std::vector<KernelCost>
-KernelModel::keyswitch_kernels(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : keyswitch_kernels_named(level))
-        ks.push_back(nk.cost);
-    return ks;
+    std::vector<KernelCost> costs;
+    costs.reserve(kernels.size());
+    for (const auto &nk : kernels)
+        costs.push_back(nk.cost);
+    return gpusim::run_schedule(
+        costs, cfg_.device,
+        gpusim::SchedulePolicy{cfg_.multistream, cfg_.graph_capture});
 }
 
 double
-KernelModel::run(const std::vector<KernelCost> &kernels) const
+KernelModel::per_ciphertext(double seconds) const
 {
     // Kernels process the whole batch; the paper reports the average
     // time per batched ciphertext ("average time per batch", §6), so
     // fixed costs amortize across the BatchSize ciphertexts.
-    double seconds =
-        gpusim::run_schedule(
-            kernels, cfg_.device,
-            gpusim::SchedulePolicy{cfg_.multistream, cfg_.graph_capture})
-            .seconds;
     if (cfg_.batched_pipeline) {
         // Batched pipelines draw their SM occupancy from the batch
         // dimension (Fig 17): derate at small BatchSize.
@@ -420,6 +445,12 @@ KernelModel::run(const std::vector<KernelCost> &kernels) const
         seconds /= b / (b + cfg_.device.occupancy_half_batch);
     }
     return seconds / static_cast<double>(params_.batch);
+}
+
+double
+KernelModel::time(Op op, size_t level) const
+{
+    return per_ciphertext(schedule(kernels(op, level)).seconds);
 }
 
 gpusim::Bound
@@ -432,18 +463,51 @@ KernelModel::KernelAttribution::bound() const
                                  : gpusim::Bound::memory;
 }
 
+std::vector<KernelModel::KernelAttribution>
+KernelModel::attribute(const std::vector<Share> &shares, double seconds)
+{
+    double weight_sum = 0;
+    for (const auto &s : shares)
+        weight_sum += s.weight;
+    // Distribute the total (which includes cross-kernel overlap gains
+    // and the occupancy/batch scaling) proportionally, so row times
+    // sum to it exactly — the artifact's tested invariant.
+    const double f = weight_sum > 0 ? seconds / weight_sum : 0;
+
+    std::vector<KernelAttribution> rows;
+    for (const auto &s : shares) {
+        KernelAttribution *row = nullptr;
+        for (auto &r : rows)
+            if (r.name == s.name)
+                row = &r;
+        if (row == nullptr) {
+            rows.emplace_back();
+            row = &rows.back();
+            row->name = s.name;
+        }
+        const auto &b = s.cost;
+        row->calls += 1;
+        row->fused += s.fused;
+        row->modeled_s += s.weight * f;
+        row->compute_s += b.compute_s * f;
+        row->memory_s += b.memory_s * f;
+        row->launch_s += b.launch_s * f;
+        row->bytes += b.bytes;
+        row->macs += b.macs;
+        row->mod_ops += b.mod_ops;
+        row->int_ops += b.int_ops;
+    }
+    for (auto &r : rows)
+        r.fraction = seconds > 0 ? r.modeled_s / seconds : 0;
+    return rows;
+}
+
 KernelModel::AttributedSchedule
 KernelModel::run_attributed(const std::vector<NamedKernel> &kernels) const
 {
     AttributedSchedule out;
-    std::vector<KernelCost> costs;
-    costs.reserve(kernels.size());
-    for (const auto &nk : kernels)
-        costs.push_back(nk.cost);
-    out.schedule = gpusim::run_schedule(
-        costs, cfg_.device,
-        gpusim::SchedulePolicy{cfg_.multistream, cfg_.graph_capture});
-    out.seconds = run(costs);
+    out.schedule = schedule(kernels);
+    out.seconds = per_ciphertext(out.schedule.seconds);
     for (const auto &nk : kernels)
         out.fused_kernels += nk.fused;
 
@@ -453,73 +517,19 @@ KernelModel::run_attributed(const std::vector<NamedKernel> &kernels) const
     // share of the single replay, so rows are priced against an
     // effective per-launch latency of schedule launch seconds spread
     // over the captured kernel nodes — per-row bounds then reflect
-    // the captured schedule, and the sum invariant below still holds.
+    // the captured schedule, and the sum invariant still holds.
     gpusim::DeviceSpec rowdev = cfg_.device;
     if (cfg_.graph_capture && out.schedule.captured_launches > 0)
         rowdev.kernel_launch_s =
             out.schedule.launch_s / out.schedule.captured_launches;
-    double raw_sum = 0;
-    std::vector<gpusim::CostBreakdown> raw;
-    raw.reserve(kernels.size());
+    std::vector<Share> shares;
+    shares.reserve(kernels.size());
     for (const auto &nk : kernels) {
-        raw.push_back(nk.cost.breakdown(rowdev, cfg_.multistream));
-        raw_sum += raw.back().total_s();
+        const auto b = nk.cost.breakdown(rowdev, cfg_.multistream);
+        shares.push_back({nk.name, b, b.total_s(), nk.fused});
     }
-    // Distribute the schedule total (which includes cross-kernel
-    // overlap gains and the occupancy/batch scaling of run())
-    // proportionally over the kernels, so row times sum to
-    // out.seconds exactly — the artifact's tested invariant.
-    const double f = raw_sum > 0 ? out.seconds / raw_sum : 0;
-
-    for (size_t i = 0; i < kernels.size(); ++i) {
-        KernelAttribution *row = nullptr;
-        for (auto &r : out.kernels)
-            if (r.name == kernels[i].name)
-                row = &r;
-        if (row == nullptr) {
-            out.kernels.emplace_back();
-            row = &out.kernels.back();
-            row->name = kernels[i].name;
-        }
-        const auto &b = raw[i];
-        row->calls += 1;
-        row->fused += kernels[i].fused;
-        row->modeled_s += b.total_s() * f;
-        row->compute_s += b.compute_s * f;
-        row->memory_s += b.memory_s * f;
-        row->launch_s += b.launch_s * f;
-        row->bytes += b.bytes;
-        row->macs += b.macs;
-        row->mod_ops += b.mod_ops;
-        row->int_ops += b.int_ops;
-    }
-    for (auto &r : out.kernels)
-        r.fraction = out.seconds > 0 ? r.modeled_s / out.seconds : 0;
+    out.kernels = attribute(shares, out.seconds);
     return out;
-}
-
-double
-KernelModel::keyswitch_time(size_t level) const
-{
-    return run(keyswitch_kernels(level));
-}
-
-double
-KernelModel::hmult_time(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : hmult_kernels_named(level))
-        ks.push_back(nk.cost);
-    return run(ks);
-}
-
-double
-KernelModel::hrotate_time(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : hrotate_kernels_named(level))
-        ks.push_back(nk.cost);
-    return run(ks);
 }
 
 double
@@ -533,134 +543,41 @@ KernelModel::hrotate_hoisted_time(size_t level, size_t count) const
     const size_t beta = params_.beta(l);
     const int w = params_.word_size;
 
-    std::vector<gpusim::KernelCost> ks;
+    std::vector<NamedKernel> ks;
     // Shared half: INTT + ModUp BConv + NTT of the raised digits.
-    ks.push_back(ntt(l + 1, w));
+    ks.push_back({"intt_q", ntt(l + 1, w)});
     for (size_t j = 0; j < beta; ++j)
-        ks.push_back(bconv(alpha, ext - alpha, w, w));
-    ks.push_back(ntt(beta * ext, w));
+        ks.push_back({"modup_bconv", bconv(alpha, ext - alpha, w, w)});
+    ks.push_back({"ntt_qp", ntt(beta * ext, w)});
     // Per-rotation half: AUTO on the raised digits + IP + ModDown.
     for (size_t r = 0; r < count; ++r) {
-        ks.push_back(auto_kernel(beta * ext + 2 * (l + 1)));
-        ks.push_back(ip(beta, 1, ext, w));
-        ks.push_back(ntt(2 * ext, w));
-        ks.push_back(bconv(k_special, l + 1, w, w));
-        ks.push_back(bconv(k_special, l + 1, w, w));
-        ks.push_back(modmul(2 * (l + 1)));
-        ks.push_back(ntt(2 * (l + 1), w));
-        ks.push_back(modadd(l + 1));
+        ks.push_back({"auto", auto_kernel(beta * ext + 2 * (l + 1))});
+        ks.push_back({"ip", ip(beta, 1, ext, w)});
+        ks.push_back({"intt_qp", ntt(2 * ext, w)});
+        ks.push_back({"moddown_bconv", bconv(k_special, l + 1, w, w)});
+        ks.push_back({"moddown_bconv", bconv(k_special, l + 1, w, w)});
+        ks.push_back({"moddown_fix", modmul(2 * (l + 1))});
+        ks.push_back({"ntt_q", ntt(2 * (l + 1), w)});
+        ks.push_back({"rotate_modadd", modadd(l + 1)});
     }
-    return run(ks);
-}
-
-double
-KernelModel::pmult_time(size_t level) const
-{
-    return run({modmul(2 * (level + 1))});
-}
-
-double
-KernelModel::hadd_time(size_t level) const
-{
-    return run({modadd(2 * (level + 1))});
-}
-
-double
-KernelModel::padd_time(size_t level) const
-{
-    return run({modadd(level + 1)});
-}
-
-std::vector<KernelModel::NamedKernel>
-KernelModel::rescale_kernels_named(size_t level) const
-{
-    const int w = params_.word_size;
-    std::vector<NamedKernel> ks;
-    ks.push_back({"rescale_intt",
-                  ntt(2 * (level + 1), w,
-                      engine_for_stage("rescale_intt", level))});
-    ks.push_back({"rescale_fix", modmul(2 * level)});
-    ks.push_back({"rescale_ntt",
-                  ntt(2 * level, w,
-                      engine_for_stage("rescale_ntt", level))});
-    return ks;
-}
-
-std::vector<KernelModel::NamedKernel>
-KernelModel::double_rescale_kernels_named(size_t level) const
-{
-    const int w = params_.word_size;
-    std::vector<NamedKernel> ks;
-    ks.push_back({"rescale_intt",
-                  ntt(2 * (level + 1), w,
-                      engine_for_stage("rescale_intt", level))});
-    ks.push_back({"rescale_fix", modmul(4 * level - 2)});
-    ks.push_back({"rescale_ntt",
-                  ntt(2 * (level - 1), w,
-                      engine_for_stage("rescale_ntt", level))});
-    return ks;
-}
-
-double
-KernelModel::rescale_time(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : rescale_kernels_named(level))
-        ks.push_back(nk.cost);
-    return run(ks);
-}
-
-double
-KernelModel::double_rescale_time(size_t level) const
-{
-    std::vector<KernelCost> ks;
-    for (const auto &nk : double_rescale_kernels_named(level))
-        ks.push_back(nk.cost);
-    return run(ks);
+    return per_ciphertext(schedule(ks).seconds);
 }
 
 KernelModel::KeySwitchTraffic
 KernelModel::keyswitch_traffic(size_t level) const
 {
-    const size_t l = level;
-    const size_t alpha = params_.alpha();
-    const size_t k_special = params_.special_primes();
-    const size_t ext = l + 1 + k_special;
-    const size_t beta = params_.beta(l);
-    const int w = params_.word_size;
-
     KeySwitchTraffic t;
-    t.ntt += ntt(l + 1, w).bytes();
-    if (cfg_.use_klss) {
-        const size_t ap = params_.klss_alpha_prime();
-        const size_t bt = params_.beta_tilde(l);
-        const int wt = params_.klss.word_size_t;
-        for (size_t j = 0; j < beta; ++j)
-            t.bconv += bconv(alpha, ap, w, wt).bytes();
-        t.ntt += ntt(beta * ap, wt).bytes();
-        t.ip += ip(beta, bt, ap, wt).bytes();
-        t.ntt += ntt(2 * bt * ap, wt).bytes();
-        t.bconv += 2 * bconv(ap, ext, wt, w).bytes();
-    } else {
-        for (size_t j = 0; j < beta; ++j)
-            t.bconv += bconv(alpha, ext - alpha, w, w).bytes();
-        t.ntt += ntt(beta * ext, w).bytes();
-        t.ip += ip(beta, 1, ext, w).bytes();
-        t.ntt += ntt(2 * ext, w).bytes();
+    for (const auto &nk : keyswitch_list(level)) {
+        const std::string_view name(nk.name);
+        double *family = &t.other;
+        if (name.find("ntt") != std::string_view::npos)
+            family = &t.ntt;
+        else if (name.ends_with("bconv") || name == "moddown_fused")
+            family = &t.bconv;
+        else if (name == "ip")
+            family = &t.ip;
+        *family += nk.cost.bytes();
     }
-    if (cfg_.fuse_elementwise) {
-        // Fused ModDown: the fix's only surviving traffic is the
-        // Q-part source read, charged to the BConv family it fused
-        // into (mirrors keyswitch_kernels_named).
-        const double fix_elems =
-            static_cast<double>(l + 1) * params_.batch * params_.n;
-        t.bconv += 2 * (bconv(k_special, l + 1, w, w).bytes() +
-                        fix_elems * 8.0);
-    } else {
-        t.bconv += 2 * bconv(k_special, l + 1, w, w).bytes();
-        t.other += modmul(2 * (l + 1)).bytes();
-    }
-    t.ntt += ntt(2 * (l + 1), w).bytes();
     return t;
 }
 

@@ -82,6 +82,19 @@ struct ModelConfig
         stage_engine;
 };
 
+/** The operations the model prices (the Table 6 columns + KeySwitch). */
+enum class Op
+{
+    keyswitch,
+    hmult,
+    hrotate,
+    pmult,
+    hadd,
+    padd,
+    rescale,
+    double_rescale,
+};
+
 /** Per-kernel and per-operation cost calculator. */
 class KernelModel
 {
@@ -185,10 +198,10 @@ class KernelModel
         gpusim::Bound bound() const;
     };
 
-    /** run() result with its per-kernel roofline attribution. */
+    /** A schedule total with its per-kernel roofline attribution. */
     struct AttributedSchedule
     {
-        /// Per-batched-ciphertext schedule time; == run(same kernels).
+        /// Per-batched-ciphertext schedule time.
         double seconds = 0;
         /// Raw whole-batch schedule totals (before occupancy/batch).
         gpusim::ScheduleResult schedule;
@@ -199,28 +212,15 @@ class KernelModel
         std::vector<KernelAttribution> kernels;
     };
 
-    /// Kernel sequence of one KeySwitch at @p level.
-    std::vector<gpusim::KernelCost> keyswitch_kernels(size_t level) const;
+    /**
+     * The named kernel list of one @p op at @p level — the model's
+     * only kernel-list representation. Every op time, application
+     * total, profiler row and sharded schedule is priced from it.
+     */
+    std::vector<NamedKernel> kernels(Op op, size_t level) const;
 
-    /// KeySwitch kernels with stage names (superset of
-    /// keyswitch_kernels: same costs, same order).
-    std::vector<NamedKernel> keyswitch_kernels_named(size_t level) const;
-    /// HMULT = KeySwitch + tensor-product fixups.
-    std::vector<NamedKernel> hmult_kernels_named(size_t level) const;
-    /// HROTATE = KeySwitch + automorphism + accumulate.
-    std::vector<NamedKernel> hrotate_kernels_named(size_t level) const;
-    /// Rescale = INTT + scalar fix + NTT, with stage names.
-    std::vector<NamedKernel> rescale_kernels_named(size_t level) const;
-    /// Fused double rescale (PR 4), with stage names.
-    std::vector<NamedKernel>
-    double_rescale_kernels_named(size_t level) const;
-
-    /// Wall time of one KeySwitch at @p level.
-    double keyswitch_time(size_t level) const;
-
-    /// Operation wall times at @p level (per batch).
-    double hmult_time(size_t level) const;
-    double hrotate_time(size_t level) const;
+    /// Wall time of one @p op at @p level (per batch).
+    double time(Op op, size_t level) const;
 
     /**
      * Time for @p count rotations of the same ciphertext with a
@@ -228,26 +228,45 @@ class KernelModel
      * functional counterpart). Only the Hybrid path hoists here.
      */
     double hrotate_hoisted_time(size_t level, size_t count) const;
-    double pmult_time(size_t level) const;
-    double hadd_time(size_t level) const;
-    double padd_time(size_t level) const;
-    double rescale_time(size_t level) const;
-    double double_rescale_time(size_t level) const;
-
-    /// Total time of a kernel list under this config's scheduling.
-    double run(const std::vector<gpusim::KernelCost> &kernels) const;
 
     /**
-     * run() plus per-kernel roofline attribution. The invariant
-     * `sum(row.modeled_s) == result.seconds == run(costs)` is the
-     * contract the profiler's JSON artifact is tested against.
+     * Schedule total plus per-kernel roofline attribution. The
+     * invariant `sum(row.modeled_s) == result.seconds` is the contract
+     * the profiler's JSON artifact is tested against.
      */
     AttributedSchedule
     run_attributed(const std::vector<NamedKernel> &kernels) const;
 
+    /**
+     * One kernel's claim on a schedule total: its roofline breakdown
+     * and the weight it is billed by (its breakdown total, or a
+     * collective's transfer time, which has no breakdown).
+     */
+    struct Share
+    {
+        const char *name;
+        gpusim::CostBreakdown cost;
+        double weight = 0;
+        u64 fused = 0;
+    };
+
+    /**
+     * Distribute @p seconds over @p shares in proportion to their
+     * weights, one row per distinct name in first-appearance order.
+     * Time fields scale so the rows sum to @p seconds; work fields
+     * are raw sums. run_attributed and the sharded keyswitch both
+     * bill their rows through this one rule.
+     */
+    static std::vector<KernelAttribution>
+    attribute(const std::vector<Share> &shares, double seconds);
+
     // ---- Traffic introspection (Figs 2 and 15) -------------------------
 
-    /** DRAM traffic of one KeySwitch, split by kernel family. */
+    /**
+     * DRAM traffic of one KeySwitch, split by kernel family: the
+     * keyswitch list folded by row name (ntt/intt -> ntt, *bconv and
+     * moddown_fused -> bconv, ip, everything else -> other).
+     */
     struct KeySwitchTraffic
     {
         double bconv = 0; ///< ModUp + Recover Limbs + ModDown conversions
@@ -261,6 +280,14 @@ class KernelModel
     KeySwitchTraffic keyswitch_traffic(size_t level) const;
 
   private:
+    /// KeySwitch kernels, each stage priced on its own engine.
+    std::vector<NamedKernel> keyswitch_list(size_t level) const;
+    /// Raw whole-batch schedule of @p kernels under this config.
+    gpusim::ScheduleResult
+    schedule(const std::vector<NamedKernel> &kernels) const;
+    /// Raw schedule seconds -> per-batched-ciphertext time.
+    double per_ciphertext(double seconds) const;
+
     /// Cost of an integer GEMM on the configured engine.
     gpusim::KernelCost gemm(size_t m, size_t n, size_t k, int wa, int wb,
                             MatMulEngine engine) const;

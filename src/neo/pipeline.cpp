@@ -202,49 +202,39 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
         // per-kernel roofline attribution (modeled.kernel.*). The
         // config mirrors the run's ExecPolicy, so an autotuned run's
         // modeled cost prices the per-stage engines it dispatched.
-        model::KernelModel model(ctx.params(), mcfg);
-        const auto att = model.run_attributed(
-            model.keyswitch_kernels_named(d2.limbs() - 1));
-        if (mcfg.devices > 1) {
-            // Sharded run: the modeled cost is the multi-device
-            // makespan (compute + collectives overlapping), with
-            // comm.* rows and counters recorded next to the kernels
-            // so exporters and --diff see communication the same way
-            // they see kernels.
-            const auto sc = shard::model_sharded_keyswitch(
-                ctx.params(), d2.limbs() - 1, mcfg);
-            r->add_value("modeled.keyswitch.s", sc.seconds);
+        // A sharded run's cost is the multi-device makespan (compute
+        // and collectives overlapping), with comm.* rows and values
+        // recorded next to the kernels so exporters and --diff see
+        // communication the same way they see kernels.
+        const auto ks =
+            shard::model_keyswitch(ctx.params(), d2.limbs() - 1, mcfg);
+        r->add_value("modeled.keyswitch.s", ks.seconds);
+        for (const auto &row : ks.kernels)
+            r->add_modeled_cost(row.name, row.modeled_s, row.compute_s,
+                                row.memory_s, row.launch_s, row.bytes,
+                                row.calls);
+        if (ks.devices > 1) {
             r->add_value("modeled.keyswitch.single_device.s",
-                         sc.single_seconds);
-            for (const auto &row : sc.kernels)
-                r->add_modeled_cost(row.name, row.modeled_s,
-                                    row.compute_s, row.memory_s,
-                                    row.launch_s, row.bytes, row.calls);
+                         ks.single_seconds);
             r->add_value("comm.bytes.allgather",
-                         sc.plan.allgather_bytes());
+                         ks.plan.allgather_bytes());
             r->add_value("comm.bytes.reducescatter",
-                         sc.plan.reducescatter_bytes());
-            r->add_value("comm.bytes.total", sc.plan.total_bytes());
-            r->add_value("comm.modeled.s", sc.comm_s);
-            for (const auto &lk : sc.links) {
-                std::string key = "comm.link.";
-                key += std::to_string(lk.link);
-                r->set_gauge(key + ".utilization", lk.utilization);
-                r->set_gauge(key + ".bytes", lk.bytes);
-            }
+                         ks.plan.reducescatter_bytes());
+            r->add_value("comm.bytes.total", ks.plan.total_bytes());
+            r->add_value("comm.modeled.s", ks.comm_s);
             r->set_gauge("shard.devices",
-                         static_cast<double>(mcfg.devices));
-        } else {
-            r->add_value("modeled.keyswitch.s", att.seconds);
-            for (const auto &row : att.kernels)
-                r->add_modeled_cost(row.name, row.modeled_s,
-                                    row.compute_s, row.memory_s,
-                                    row.launch_s, row.bytes, row.calls);
+                         static_cast<double>(ks.devices));
+        }
+        for (const auto &lk : ks.links) {
+            std::string key = "comm.link.";
+            key += std::to_string(lk.link);
+            r->set_gauge(key + ".utilization", lk.utilization);
+            r->set_gauge(key + ".bytes", lk.bytes);
         }
         // Modeled HBM telemetry: per-run DRAM traffic distribution
         // plus the footprint gauges (working set, keys, ciphertext).
-        r->observe("work.keyswitch.hbm_bytes", att.schedule.bytes);
-        r->set_gauge("hbm.modeled.traffic_bytes", att.schedule.bytes);
+        r->observe("work.keyswitch.hbm_bytes", ks.schedule.bytes);
+        r->set_gauge("hbm.modeled.traffic_bytes", ks.schedule.bytes);
         gpusim::MemoryModel(ctx.params()).record_gauges(d2.limbs() - 1);
         // Work histogram: limb count per keyswitch — deterministic
         // (depends only on the op mix, never on timing or threads).
@@ -440,27 +430,6 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
 
 } // namespace
 
-PipelineEngines
-PipelineEngines::from_name(std::string_view name)
-{
-    return EngineRegistry::engines(EngineRegistry::parse(name));
-}
-
-const std::vector<std::string_view> &
-PipelineEngines::names()
-{
-    // Mirrors EngineRegistry::ids() order; kept only for the
-    // deprecation window.
-    // neo-lint: allow(thread-unsafe-static)
-    static const std::vector<std::string_view> n = [] {
-        std::vector<std::string_view> out;
-        for (EngineId id : EngineRegistry::ids())
-            out.push_back(EngineRegistry::name(id));
-        return out;
-    }();
-    return n;
-}
-
 model::ModelConfig
 model_config(const ExecPolicy &policy, const ckks::CkksParams &params)
 {
@@ -572,22 +541,6 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
         &EngineRegistry::engines(e_ntt_q).same_mod};
     return pipeline_run(d2, evk, ctx, bindings, policy.fuse,
                         model_config(policy, pp));
-}
-
-std::pair<RnsPoly, RnsPoly>
-keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
-                        const CkksContext &ctx,
-                        const PipelineEngines &engines, bool fuse)
-{
-    // Legacy raw-engine surface: one bundle drives every stage and
-    // the modeled span prices the default (FP64-TCU) configuration,
-    // exactly the pre-ExecPolicy behaviour.
-    model::ModelConfig mcfg;
-    mcfg.fuse_elementwise = fuse;
-    const StageBindings bindings{&engines.per_column, &engines.same_mod,
-                                 &engines.per_site,   &engines.same_mod,
-                                 &engines.per_column, &engines.same_mod};
-    return pipeline_run(d2, evk, ctx, bindings, fuse, mcfg);
 }
 
 std::function<std::pair<RnsPoly, RnsPoly>(

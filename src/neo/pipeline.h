@@ -54,19 +54,6 @@ struct PipelineEngines
         return {int8_tcu_matmul(), int8_tcu_col_matmul(),
                 int8_tcu_site_matmul()};
     }
-
-    /**
-     * Named-registry constructor: "fp64_tcu", "scalar" or "int8_tcu".
-     * Throws std::invalid_argument on an unknown name.
-     */
-    [[deprecated("use EngineRegistry::parse + EngineRegistry::engines "
-                 "(or ExecPolicy::fixed) instead")]]
-    static PipelineEngines from_name(std::string_view name);
-
-    /// The names from_name accepts, for help text.
-    [[deprecated("use EngineRegistry::ids / EngineRegistry::help_list "
-                 "instead")]]
-    static const std::vector<std::string_view> &names();
 };
 
 /**
@@ -92,18 +79,6 @@ std::pair<RnsPoly, RnsPoly>
 keyswitch_klss_pipeline(const RnsPoly &d2, const ckks::KlssEvalKey &evk,
                         const ckks::CkksContext &ctx,
                         const ExecPolicy &policy = {});
-
-/**
- * Deprecated raw-engine overload (pre-ExecPolicy surface). Kept one
- * PR for out-of-tree callers, like the PR 2 EvalKeyBundle migration;
- * all in-tree callers pass an ExecPolicy.
- */
-[[deprecated("pass a neo::ExecPolicy (ExecPolicy::fixed(EngineId, "
-             "fuse)) instead of PipelineEngines + bool")]]
-std::pair<RnsPoly, RnsPoly>
-keyswitch_klss_pipeline(const RnsPoly &d2, const ckks::KlssEvalKey &evk,
-                        const ckks::CkksContext &ctx,
-                        const PipelineEngines &engines, bool fuse = false);
 
 /**
  * A ckks::Evaluator::KlssKeySwitchFn that routes every KLSS key

@@ -107,27 +107,27 @@ stage_axis_total(std::string_view stage, size_t q_limbs, size_t beta,
 
 } // namespace
 
-ShardedCost
-model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
-                        const model::ModelConfig &cfg)
+KeySwitchCost
+model_keyswitch(const ckks::CkksParams &params, size_t level,
+                const model::ModelConfig &cfg)
 {
     NEO_CHECK(cfg.devices >= 1, "devices must be positive");
-    ShardedCost out;
-    out.devices = cfg.devices;
-
     KernelModel model(params, cfg);
-    const auto named = model.keyswitch_kernels_named(level);
-    {
-        std::vector<KernelCost> costs;
-        for (const auto &nk : named)
-            costs.push_back(nk.cost);
-        out.single_seconds = model.run(costs);
-    }
+    const auto named = model.kernels(model::Op::keyswitch, level);
+    KeySwitchCost out;
+    static_cast<KernelModel::AttributedSchedule &>(out) =
+        model.run_attributed(named);
+    out.devices = cfg.devices;
+    out.single_seconds = out.seconds;
+    // One device is exactly the single-device schedule: the serial
+    // event-sim chain below cannot overlap compute-bound kernels with
+    // memory-bound neighbours the way the aggregate multistream model
+    // does, so the established run_attributed figure is the one kept.
+    if (cfg.devices == 1)
+        return out;
 
     const Topology topo =
-        cfg.devices <= 1
-            ? Topology::single(cfg.device)
-            : Topology::preset(cfg.interconnect, cfg.devices, cfg.device);
+        Topology::preset(cfg.interconnect, cfg.devices, cfg.device);
     out.plan = comm_plan(params, level, topo);
 
     const size_t q_limbs = level + 1;
@@ -144,39 +144,48 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
     // half's compute — the multi-device analogue of §4.6.
     struct Entry
     {
-        std::string name;
-        double raw_s = 0;  ///< serial-time weight for attribution
+        const char *name;
+        double raw_s = 0; ///< simulated serial time of the entry
         bool comm = false;
     };
     std::vector<SimKernel> sim;
     std::vector<Entry> entries;
-    const size_t halves = cfg.multistream && d_count > 1 ? 2 : 1;
+    std::vector<KernelModel::Share> shares;
+    const size_t halves = cfg.multistream ? 2 : 1;
     const double hf = 1.0 / static_cast<double>(halves);
 
     // Graph capture: each device captures its local chain once and
-    // replays it with one amortized dispatch — the per-kernel launch
-    // latency collapses into equivalent launch units on the chain's
-    // first kernel (the same DeviceSpec::graph_launch_s pricing
-    // run_schedule applies to the single-device schedule).
+    // replays it with one amortized dispatch. The simulator sees the
+    // replay as equivalent launch units on the chain's first kernel
+    // (the same DeviceSpec::graph_launch_s pricing run_schedule
+    // applies to the single-device schedule); the rows spread it over
+    // the captured launches, as run_attributed does.
     double chain_launches = 0;
     for (const auto &nk : named)
         chain_launches += nk.cost.launches;
+    const bool graph = cfg.graph_capture && cfg.device.kernel_launch_s > 0;
     const double graph_units =
-        cfg.graph_capture && cfg.device.kernel_launch_s > 0
-            ? cfg.device.graph_launch_s(chain_launches) /
-                  cfg.device.kernel_launch_s
-            : -1;
+        graph ? cfg.device.graph_launch_s(chain_launches) /
+                    cfg.device.kernel_launch_s
+              : -1;
+    gpusim::DeviceSpec rowdev = cfg.device;
+    if (graph && chain_launches > 0)
+        rowdev.kernel_launch_s =
+            cfg.device.graph_launch_s(chain_launches) / chain_launches;
 
     const auto push_compute = [&](const KernelModel::NamedKernel &nk,
                                   int stream, double frac,
                                   bool chain_head) {
-        KernelCost c = scale_cost(nk.cost, frac * hf);
+        const KernelCost shard = scale_cost(nk.cost, frac * hf);
+        KernelCost c = shard;
         if (graph_units >= 0)
             c.launches = chain_head ? graph_units : 0;
         sim.push_back({c, stream, {}, 0.0});
         entries.push_back(
             {nk.name, c.breakdown(cfg.device, cfg.multistream).total_s(),
              false});
+        const auto b = shard.breakdown(rowdev, cfg.multistream);
+        shares.push_back({nk.name, b, b.total_s(), nk.fused});
     };
     const auto push_comm = [&](const char *name, double time_s,
                                int stream) {
@@ -184,6 +193,7 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
         c.launches = 0;
         sim.push_back({c, stream, {}, time_s * hf});
         entries.push_back({name, time_s * hf, true});
+        shares.push_back({name, {}, time_s * hf, 0});
     };
 
     for (size_t dev = 0; dev < d_count; ++dev) {
@@ -193,19 +203,18 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
             for (const auto &nk : named) {
                 const std::string_view st(nk.name);
                 // Collectives precede the stage that consumes them.
-                if (d_count > 1) {
-                    if (st == "modup_bconv" &&
-                        (entries.empty() ||
-                         entries.back().name != "modup_bconv"))
-                        push_comm("comm.allgather.src",
-                                  out.plan.ag_src.time_s, stream);
-                    if (st == "ip")
-                        push_comm("comm.allgather.digits",
-                                  out.plan.ag_digits.time_s, stream);
-                    if (st == "ntt_q")
-                        push_comm("comm.reducescatter.fix",
-                                  2 * out.plan.rs_fix.time_s, stream);
-                }
+                if (st == "modup_bconv" &&
+                    (entries.empty() ||
+                     std::string_view(entries.back().name) !=
+                         "modup_bconv"))
+                    push_comm("comm.allgather.src",
+                              out.plan.ag_src.time_s, stream);
+                if (st == "ip")
+                    push_comm("comm.allgather.digits",
+                              out.plan.ag_digits.time_s, stream);
+                if (st == "ntt_q")
+                    push_comm("comm.reducescatter.fix",
+                              2 * out.plan.rs_fix.time_s, stream);
                 const double frac = shard_fraction(
                     stage_axis_total(st, q_limbs, beta, beta_tilde),
                     d_count);
@@ -232,7 +241,7 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
             std::max(raw_makespan, sim_dev.run(mine).makespan);
     }
 
-    // Normalize exactly like KernelModel::run(): occupancy derate for
+    // Normalize like the single-device schedule: occupancy derate for
     // batched pipelines, then per-batched-ciphertext.
     double norm = 1.0;
     if (cfg.batched_pipeline) {
@@ -240,52 +249,8 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
         norm *= (b + cfg.device.occupancy_half_batch) / b;
     }
     norm /= static_cast<double>(params.batch);
-    // devices == 1 degenerates to the single-device schedule exactly:
-    // the serial event-sim chain cannot overlap compute-bound kernels
-    // with memory-bound neighbours the way the aggregate multistream
-    // model does, so the established run() figure is the one to keep
-    // (it is also what every profile reports for unsharded runs).
-    out.seconds =
-        d_count == 1 ? out.single_seconds : raw_makespan * norm;
-
-    // --- Attribution: distribute the makespan proportionally over the
-    // serial-time weights so rows sum to out.seconds exactly (the
-    // run_attributed invariant, extended with comm.* rows).
-    double raw_sum = 0;
-    for (const auto &e : entries)
-        raw_sum += e.raw_s;
-    const double f =
-        raw_sum > 0 ? out.seconds / raw_sum : 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-        const auto &e = entries[i];
-        KernelModel::KernelAttribution *row = nullptr;
-        for (auto &r : out.kernels)
-            if (r.name == e.name)
-                row = &r;
-        if (row == nullptr) {
-            out.kernels.emplace_back();
-            row = &out.kernels.back();
-            row->name = e.name;
-        }
-        row->calls += 1;
-        row->modeled_s += e.raw_s * f;
-        if (e.comm) {
-            out.comm_s += e.raw_s * norm;
-        } else {
-            const auto b =
-                sim[i].cost.breakdown(cfg.device, cfg.multistream);
-            row->compute_s += b.compute_s * f;
-            row->memory_s += b.memory_s * f;
-            row->launch_s += b.launch_s * f;
-            row->bytes += b.bytes;
-            row->macs += b.macs;
-            row->mod_ops += b.mod_ops;
-            row->int_ops += b.int_ops;
-            out.compute_s += e.raw_s * norm;
-        }
-    }
-    for (auto &r : out.kernels)
-        r.fraction = out.seconds > 0 ? r.modeled_s / out.seconds : 0;
+    out.seconds = raw_makespan * norm;
+    out.kernels = KernelModel::attribute(shares, out.seconds);
 
     // --- Per-device and per-link attribution. -------------------------
     out.per_device.resize(d_count);
@@ -294,27 +259,26 @@ model_sharded_keyswitch(const ckks::CkksParams &params, size_t level,
     for (size_t i = 0; i < entries.size(); ++i) {
         const size_t dev =
             static_cast<size_t>(sim[i].stream) / halves;
-        if (entries[i].comm)
+        if (entries[i].comm) {
             out.per_device[dev].comm_s += entries[i].raw_s * norm;
-        else
+            out.comm_s += entries[i].raw_s * norm;
+        } else {
             out.per_device[dev].compute_s += entries[i].raw_s * norm;
-    }
-    if (d_count > 1) {
-        const size_t links = topo.num_links();
-        const double link_bytes =
-            links > 0 ? out.plan.total_bytes() / static_cast<double>(links)
-                      : 0;
-        const double busy =
-            topo.link.bandwidth > 0 ? link_bytes / topo.link.bandwidth
-                                    : 0;
-        out.links.resize(links);
-        for (size_t i = 0; i < links; ++i) {
-            out.links[i].link = i;
-            out.links[i].bytes = link_bytes;
-            out.links[i].busy_s = busy;
-            out.links[i].utilization =
-                raw_makespan > 0 ? busy / raw_makespan : 0;
         }
+    }
+    const size_t links = topo.num_links();
+    const double link_bytes =
+        links > 0 ? out.plan.total_bytes() / static_cast<double>(links)
+                  : 0;
+    const double busy =
+        topo.link.bandwidth > 0 ? link_bytes / topo.link.bandwidth : 0;
+    out.links.resize(links);
+    for (size_t i = 0; i < links; ++i) {
+        out.links[i].link = i;
+        out.links[i].bytes = link_bytes;
+        out.links[i].busy_s = busy;
+        out.links[i].utilization =
+            raw_makespan > 0 ? busy / raw_makespan : 0;
     }
     return out;
 }

@@ -98,21 +98,20 @@ struct DeviceAttribution
     double comm_s = 0;    ///< normalized per-ciphertext collective share
 };
 
-/** Modeled cost of one sharded keyswitch. */
-struct ShardedCost
+/**
+ * Modeled cost of one keyswitch on one or more devices. The inherited
+ * fields are the attributed schedule: `seconds` is the makespan per
+ * batched ciphertext, `kernels` the stage rows (plus comm.* rows when
+ * sharded) summing to it exactly, and `schedule`/`fused_kernels` the
+ * totals of one device's unsharded kernel list.
+ */
+struct KeySwitchCost : model::KernelModel::AttributedSchedule
 {
     size_t devices = 1;
-    /// Per-batched-ciphertext makespan of the sharded schedule
-    /// (compute and collectives overlapping per event_sim), normalized
-    /// exactly like KernelModel::run() so it compares directly.
-    double seconds = 0;
-    /// KernelModel::run() of the same schedule on one device.
+    /// The one-device figure of the same keyswitch (== seconds at 1).
     double single_seconds = 0;
-    double compute_s = 0; ///< normalized serial compute share
-    double comm_s = 0;    ///< normalized serial collective share
-    /// Per-stage rows (kernel stages + comm.* rows); modeled_s sums
-    /// to `seconds` exactly — the same invariant run_attributed keeps.
-    std::vector<model::KernelModel::KernelAttribution> kernels;
+    double comm_s = 0; ///< normalized serial collective share
+    /// Per-link and per-device shares; empty on one device.
     std::vector<LinkAttribution> links;
     std::vector<DeviceAttribution> per_device;
     CommPlan plan;
@@ -124,12 +123,14 @@ struct ShardedCost
 };
 
 /**
- * Price one keyswitch at @p level sharded over the topology that
- * @p cfg.devices / @p cfg.interconnect select. devices == 1
- * degenerates to the single-device schedule with zero comm.
+ * The one keyswitch pricing entry: price one keyswitch at @p level on
+ * the topology that @p cfg.devices / @p cfg.interconnect select. On
+ * one device it is KernelModel::run_attributed of the keyswitch list;
+ * on more, each device's shard chain (with the collectives spliced
+ * in) runs on its own EventSimulator and the rows are billed by
+ * KernelModel::attribute, the rule run_attributed uses.
  */
-ShardedCost model_sharded_keyswitch(const ckks::CkksParams &params,
-                                    size_t level,
-                                    const model::ModelConfig &cfg);
+KeySwitchCost model_keyswitch(const ckks::CkksParams &params, size_t level,
+                              const model::ModelConfig &cfg);
 
 } // namespace neo::shard

@@ -44,58 +44,29 @@ stamp_policy(Result &r, const ExecPolicy &policy)
         r.topology = gpusim::interconnect_name(policy.interconnect);
 }
 
-/// Fold one attributed schedule, weighted by @p mult invocations,
-/// into the result's kernel rows.
+/// Take a priced schedule's total, rows and dispatch totals.
 void
-accumulate_rows(Result &r, const KernelModel::AttributedSchedule &att,
-                double mult)
+take(Result &r, const KernelModel::AttributedSchedule &att)
 {
-    for (const auto &row : att.kernels) {
-        KernelRow *dst = nullptr;
-        for (auto &k : r.kernels)
-            if (k.name == row.name)
-                dst = &k;
-        if (dst == nullptr) {
-            r.kernels.emplace_back();
-            dst = &r.kernels.back();
-            dst->name = row.name;
-        }
-        dst->calls += static_cast<u64>(
-            std::llround(mult * static_cast<double>(row.calls)));
-        dst->modeled_s += row.modeled_s * mult;
-        dst->compute_s += row.compute_s * mult;
-        dst->memory_s += row.memory_s * mult;
-        dst->launch_s += row.launch_s * mult;
-        dst->bytes += row.bytes * mult;
-    }
-    r.bytes += att.schedule.bytes * mult;
-    r.launches += att.schedule.launches * mult;
-    r.graph_launches += att.schedule.graph_launches * mult;
-    r.fused_kernels += static_cast<u64>(
-        std::llround(mult * static_cast<double>(att.fused_kernels)));
+    r.modeled_total_s = att.seconds;
+    r.kernels = att.kernels;
+    r.bytes = att.schedule.bytes;
+    r.launches = att.schedule.launches;
+    r.graph_launches = att.schedule.graph_launches;
+    r.fused_kernels = att.fused_kernels;
 }
 
-/// Re-derive fractions and bound strings once all rows are in.
+/// Schedule-level bound from the rows' summed phases.
 void
-finalize_rows(Result &r)
+finalize_bound(Result &r)
 {
-    for (auto &k : r.kernels) {
-        k.fraction = r.modeled_total_s > 0 ? k.modeled_s / r.modeled_total_s
-                                           : 0;
-        const double roof = std::max(k.compute_s, k.memory_s);
-        k.bound = k.launch_s > roof
-                      ? "launch"
-                      : (k.compute_s >= k.memory_s ? "compute" : "memory");
-    }
-    // Schedule-level bound from the summed phases.
-    double c = 0, m = 0, l = 0;
+    gpusim::CostBreakdown sum;
     for (const auto &k : r.kernels) {
-        c += k.compute_s;
-        m += k.memory_s;
-        l += k.launch_s;
+        sum.compute_s += k.compute_s;
+        sum.memory_s += k.memory_s;
+        sum.launch_s += k.launch_s;
     }
-    r.bound = l > std::max(c, m) ? "launch"
-                                 : (c >= m ? "compute" : "memory");
+    r.bound = gpusim::bound_name(sum.bound());
 }
 
 void
@@ -187,14 +158,12 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
 
     // Sharded runs: the pipeline records comm.* byte/time values and
     // per-link gauges; surface them as gate-able metrics (additive —
-    // single-device artifacts never see these keys). Snapshot before
+    // single-device runs record no comm.* values). Snapshot before
     // the extra sample runs, like the counters above: the byte values
     // accumulate per keyswitch, and the gated figure is one run's.
-    if (policy.devices > 1) {
-        for (const auto &[name, v] : scope.registry().values())
-            if (name.rfind("comm.", 0) == 0)
-                r.metrics[name] = v;
-    }
+    for (const auto &[name, v] : scope.registry().values())
+        if (name.rfind("comm.", 0) == 0)
+            r.metrics[name] = v;
 
     if (repeat > 1) {
         std::vector<double> samples(repeat);
@@ -216,51 +185,31 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
     r.expected_spans["bconv"] = want.bconv;
     r.expected_spans["ip"] = want.ip;
 
-    const ModelConfig mcfg = model_config(policy, params);
-    KernelModel model(params, mcfg);
-    if (policy.devices > 1) {
-        // Sharded schedule: rows come from the multi-device makespan
-        // attribution (kernel stages + comm.* rows, summing to the
-        // total exactly — the same invariant as run_attributed).
-        const auto sc =
-            shard::model_sharded_keyswitch(params, level, mcfg);
-        r.modeled_total_s = sc.seconds;
-        for (const auto &row : sc.kernels) {
-            KernelRow k;
-            k.name = row.name;
-            k.calls = row.calls;
-            k.modeled_s = row.modeled_s;
-            k.compute_s = row.compute_s;
-            k.memory_s = row.memory_s;
-            k.launch_s = row.launch_s;
-            k.bytes = row.bytes;
-            r.kernels.push_back(std::move(k));
-            r.bytes += row.bytes;
-        }
-        const auto att = model.run_attributed(
-            model.keyswitch_kernels_named(level));
-        r.launches =
-            att.schedule.launches * static_cast<double>(policy.devices);
-        r.graph_launches = att.schedule.graph_launches *
-                           static_cast<double>(policy.devices);
-        r.fused_kernels = att.fused_kernels;
-        r.metrics["modeled.single_device.s"] = sc.single_seconds;
-        r.metrics["comm.modeled.s"] = sc.comm_s;
-        for (const auto &dv : sc.per_device)
-            r.per_device.push_back(
-                {dv.device, dv.compute_s, dv.comm_s});
-        for (const auto &lk : sc.links)
-            r.links.push_back(
-                {lk.link, lk.bytes, lk.busy_s, lk.utilization});
-    } else {
-        const auto att = model.run_attributed(
-            model.keyswitch_kernels_named(level));
-        r.modeled_total_s = att.seconds;
-        accumulate_rows(r, att, 1.0);
+    // Rows come from the keyswitch's attributed schedule on
+    // policy.devices devices (kernel stages plus, when sharded, comm.*
+    // rows — summing to the total exactly either way). Each device
+    // dispatches the whole kernel sequence on its own shard.
+    const auto ks = shard::model_keyswitch(params, level,
+                                           model_config(policy, params));
+    const double devices = static_cast<double>(ks.devices);
+    r.modeled_total_s = ks.seconds;
+    r.kernels = ks.kernels;
+    for (const auto &row : ks.kernels)
+        r.bytes += row.bytes;
+    r.launches = ks.schedule.launches * devices;
+    r.graph_launches = ks.schedule.graph_launches * devices;
+    r.fused_kernels = ks.fused_kernels;
+    for (const auto &dv : ks.per_device)
+        r.per_device.push_back({dv.device, dv.compute_s, dv.comm_s});
+    for (const auto &lk : ks.links)
+        r.links.push_back({lk.link, lk.bytes, lk.busy_s, lk.utilization});
+    if (r.devices > 1) {
+        r.metrics["modeled.single_device.s"] = ks.single_seconds;
+        r.metrics["comm.modeled.s"] = ks.comm_s;
     }
     r.ip_valid_proportion = gpusim::TcuModel::valid_proportion_fp64(
         params.batch, params.beta_tilde(level), params.beta(level));
-    finalize_rows(r);
+    finalize_bound(r);
     fill_metrics(r);
     return r;
 }
@@ -281,59 +230,14 @@ profile_primitive(const std::string &workload, const ExecPolicy &policy,
     stamp_policy(r, policy);
 
     KernelModel model(params, model_config(policy, params));
-    const auto kernels = workload == "mul"
-                             ? model.hmult_kernels_named(level)
-                             : model.hrotate_kernels_named(level);
-    const auto att = model.run_attributed(kernels);
-    r.modeled_total_s = att.seconds;
-    accumulate_rows(r, att, 1.0);
+    take(r, model.run_attributed(model.kernels(
+                workload == "mul" ? model::Op::hmult : model::Op::hrotate,
+                level)));
     r.ip_valid_proportion = gpusim::TcuModel::valid_proportion_fp64(
         params.batch, params.beta_tilde(level), params.beta(level));
-    finalize_rows(r);
+    finalize_bound(r);
     fill_metrics(r);
     return r;
-}
-
-/// Mirror of apps::run_schedule with per-kernel attribution: each
-/// op's named kernel list reprices to exactly the op's *_time(), so
-/// the accumulated total matches run_schedule bit for bit.
-double
-accumulate_schedule(Result &r, const apps::Schedule &s,
-                    const KernelModel &m, double mult)
-{
-    double total = 0;
-    for (const auto &o : s.ops) {
-        std::vector<KernelModel::NamedKernel> ks;
-        const size_t l = o.level;
-        switch (o.op) {
-        case apps::OpKind::hmult: ks = m.hmult_kernels_named(l); break;
-        case apps::OpKind::hrotate: ks = m.hrotate_kernels_named(l); break;
-        case apps::OpKind::pmult:
-            ks.push_back({"pmult", m.modmul(2 * (l + 1))});
-            break;
-        case apps::OpKind::hadd:
-            ks.push_back({"hadd", m.modadd(2 * (l + 1))});
-            break;
-        case apps::OpKind::padd:
-            ks.push_back({"padd", m.modadd(l + 1)});
-            break;
-        case apps::OpKind::rescale:
-            ks = m.rescale_kernels_named(l);
-            break;
-        case apps::OpKind::double_rescale:
-            ks = m.double_rescale_kernels_named(l);
-            break;
-        }
-        const auto att = m.run_attributed(ks);
-        accumulate_rows(r, att, mult * o.count);
-        total += att.seconds * o.count;
-    }
-    if (s.bootstraps > 0) {
-        const apps::Schedule bs = apps::pack_bootstrap(m.params());
-        total += s.bootstraps *
-                 accumulate_schedule(r, bs, m, mult * s.bootstraps);
-    }
-    return total;
 }
 
 Result
@@ -362,11 +266,11 @@ profile_app(const std::string &workload, const ExecPolicy &policy)
     else
         sched = apps::resnet(neo.params, 56);
 
-    r.modeled_total_s = accumulate_schedule(r, sched, model, 1.0);
+    take(r, apps::run_schedule(sched, model));
     r.ip_valid_proportion = gpusim::TcuModel::valid_proportion_fp64(
         neo.params.batch, neo.params.beta_tilde(r.level),
         neo.params.beta(r.level));
-    finalize_rows(r);
+    finalize_bound(r);
     fill_metrics(r);
     return r;
 }
@@ -427,20 +331,6 @@ profile(const std::string &workload, const ExecPolicy &policy,
     throw std::invalid_argument(msg);
 }
 
-Result
-profile(const std::string &workload, const std::string &engine,
-        size_t level, size_t repeat, const ProfileOptions &opts)
-{
-    ExecPolicy p;
-    p.fuse = opts.fuse;
-    p.graph = opts.graph;
-    if (engine == "auto")
-        p.select = EngineSelect::autotune;
-    else
-        p.engine = EngineRegistry::parse(engine); // validates up front
-    return profile(workload, p, level, repeat);
-}
-
 void
 print_report(const Result &r, std::ostream &out)
 {
@@ -474,7 +364,8 @@ print_report(const Result &r, std::ostream &out)
                format_time(k.modeled_s),
                strfmt("%6.2f%%", 100.0 * k.fraction),
                format_time(k.compute_s), format_time(k.memory_s),
-               format_time(k.launch_s), format_bytes(k.bytes), k.bound});
+               format_time(k.launch_s), format_bytes(k.bytes),
+               gpusim::bound_name(k.bound())});
     }
     out << t.str();
 
@@ -560,7 +451,7 @@ to_json(const Result &r)
         w.key("memory_s").value(k.memory_s);
         w.key("launch_s").value(k.launch_s);
         w.key("bytes").value(k.bytes);
-        w.key("bound").value(k.bound);
+        w.key("bound").value(gpusim::bound_name(k.bound()));
         w.end_object();
     }
     w.end_array();

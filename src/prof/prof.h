@@ -38,6 +38,7 @@
 #include "common/json.h"
 #include "common/types.h"
 #include "neo/exec_policy.h"
+#include "neo/kernel_model.h"
 #include "tune/tuning_table.h"
 
 namespace neo::prof {
@@ -45,24 +46,10 @@ namespace neo::prof {
 /// Artifact schema identifier; bump on breaking layout changes.
 inline constexpr const char *kSchema = "neo.bench/1";
 
-/** One aggregated kernel row of the attribution report. */
-struct KernelRow
-{
-    std::string name;
-    u64 calls = 0;
-    double modeled_s = 0; ///< share of totals.modeled_s (rows sum to it)
-    double fraction = 0;  ///< modeled_s / totals.modeled_s
-    double compute_s = 0;
-    double memory_s = 0;
-    double launch_s = 0;
-    double bytes = 0;
-    std::string bound; ///< "compute" | "memory" | "launch"
-};
-
 /**
- * Ablation switches for one profile run — the `--fuse` / `--graph`
- * axes of neo-prof. Both default off so profile() without options
- * reproduces the historical artifact exactly.
+ * Ablation switches one profile run used — the `--fuse` / `--graph`
+ * axes of neo-prof, copied from the run's ExecPolicy into the
+ * artifact's `options` object.
  */
 struct ProfileOptions
 {
@@ -115,7 +102,8 @@ struct Result
     std::string bound;            ///< schedule-level bottleneck class
     double ip_valid_proportion = 0; ///< §4.5.3 gate input at this level
 
-    std::vector<KernelRow> kernels;
+    /// Attribution rows; modeled_s sums to modeled_total_s.
+    std::vector<model::KernelModel::KernelAttribution> kernels;
     /// Per-device compute/communication split of the sharded makespan.
     /// Populated (and serialized) only when devices > 1.
     struct DeviceRow
@@ -180,18 +168,6 @@ const std::vector<std::string> &workload_names();
  */
 Result profile(const std::string &workload, const ExecPolicy &policy,
                size_t level = 0, size_t repeat = 1);
-
-/**
- * Deprecated engine-string surface (pre-ExecPolicy). "auto" selects
- * autotune; other names resolve through EngineRegistry::parse. Kept
- * one PR for out-of-tree callers.
- */
-[[deprecated("pass a neo::ExecPolicy (ExecPolicy::fixed(EngineId) or "
-             "an autotune policy) instead of an engine string + "
-             "ProfileOptions")]]
-Result profile(const std::string &workload, const std::string &engine,
-               size_t level = 0, size_t repeat = 1,
-               const ProfileOptions &opts = {});
 
 /**
  * The canonical tuning table: every site of the parameter sets

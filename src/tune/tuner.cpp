@@ -54,13 +54,13 @@ op_times(const ckks::CkksParams &params, const model::ModelConfig &base,
     };
     const model::KernelModel m(params, cfg);
     std::vector<double> t;
-    t.push_back(m.keyswitch_time(level));
-    t.push_back(m.hmult_time(level));
-    t.push_back(m.hrotate_time(level));
+    t.push_back(m.time(model::Op::keyswitch, level));
+    t.push_back(m.time(model::Op::hmult, level));
+    t.push_back(m.time(model::Op::hrotate, level));
     if (level >= 1)
-        t.push_back(m.rescale_time(level));
+        t.push_back(m.time(model::Op::rescale, level));
     if (level >= 2)
-        t.push_back(m.double_rescale_time(level));
+        t.push_back(m.time(model::Op::double_rescale, level));
     return t;
 }
 

@@ -6,6 +6,8 @@
 namespace neo::baselines {
 namespace {
 
+using model::Op;
+
 TEST(PaperParams, Table4Derivations)
 {
     auto a = ckks::paper_set('A');
@@ -33,16 +35,16 @@ TEST(Backends, OperationOrderingMatchesTable6)
     auto tfhe_c = make_tensorfhe('C').model();
     auto cpu = make_cpu().model();
 
-    const double t_neo = neo.hmult_time(35);
-    const double t_heon = heon.hmult_time(35);
-    const double t_tfhe = tfhe_a.hmult_time(35);
+    const double t_neo = neo.time(Op::hmult, 35);
+    const double t_heon = heon.time(Op::hmult, 35);
+    const double t_tfhe = tfhe_a.time(Op::hmult, 35);
     EXPECT_LT(t_neo, t_heon);
     EXPECT_LT(t_heon, t_tfhe);
-    EXPECT_LT(t_tfhe, cpu.hmult_time(44));
+    EXPECT_LT(t_tfhe, cpu.time(Op::hmult, 44));
 
     // TensorFHE degrades from Set-A to Set-C (larger d_num), as in
     // Table 6's 15.3 -> 32.5 ms progression.
-    EXPECT_LT(tfhe_a.hmult_time(35), tfhe_c.hmult_time(35));
+    EXPECT_LT(tfhe_a.time(Op::hmult, 35), tfhe_c.time(Op::hmult, 35));
 
     // Magnitudes within 3x of the published values (3472 us / 8172 us
     // / 15304 us — our substrate is a model, shapes matter).
@@ -60,9 +62,10 @@ TEST(Backends, NeoSpeedupOverTensorFheInPaperRange)
     double best_tfhe = 1e9;
     for (char set : {'A', 'B', 'C'}) {
         best_tfhe =
-            std::min(best_tfhe, make_tensorfhe(set).model().hmult_time(35));
+            std::min(best_tfhe,
+                     make_tensorfhe(set).model().time(Op::hmult, 35));
     }
-    const double speedup = best_tfhe / neo.hmult_time(35);
+    const double speedup = best_tfhe / neo.time(Op::hmult, 35);
     EXPECT_GT(speedup, 2.0);
     EXPECT_LT(speedup, 16.0);
 }
@@ -78,7 +81,7 @@ TEST(Backends, AblationLadderIsMonotone)
     for (const auto &rung : ladder) {
         auto m = rung.model();
         auto sched = apps::resnet(rung.params, 20);
-        double t = apps::run_schedule(sched, m);
+        double t = apps::run_schedule(sched, m).seconds;
         EXPECT_LT(t, prev) << rung.name;
         prev = t;
     }
@@ -103,22 +106,22 @@ TEST(Schedules, BootstrapShape)
     auto p = ckks::paper_set('C');
     auto s = pack_bootstrap(p);
     // 6 BSGS stages with 16 rotations each, plus one conjugation.
-    EXPECT_DOUBLE_EQ(s.total(OpKind::hrotate), 97);
-    EXPECT_DOUBLE_EQ(s.total(OpKind::hmult), 12);
-    EXPECT_GT(s.total(OpKind::pmult), 300);
+    EXPECT_DOUBLE_EQ(s.total(Op::hrotate), 97);
+    EXPECT_DOUBLE_EQ(s.total(Op::hmult), 12);
+    EXPECT_GT(s.total(Op::pmult), 300);
     // DS appears when WordSize < 40 (§2.1: essential below 36 bits).
-    EXPECT_GT(s.total(OpKind::double_rescale), 0);
+    EXPECT_GT(s.total(Op::double_rescale), 0);
     auto p60 = ckks::paper_set('E');
-    EXPECT_DOUBLE_EQ(pack_bootstrap(p60).total(OpKind::double_rescale), 0);
+    EXPECT_DOUBLE_EQ(pack_bootstrap(p60).total(Op::double_rescale), 0);
 }
 
 TEST(Schedules, ResNetScalesLinearlyInLayers)
 {
     auto p = ckks::paper_set('C');
     auto m = baselines::make_neo('C').model();
-    const double t20 = run_schedule(resnet(p, 20), m);
-    const double t32 = run_schedule(resnet(p, 32), m);
-    const double t56 = run_schedule(resnet(p, 56), m);
+    const double t20 = run_schedule(resnet(p, 20), m).seconds;
+    const double t32 = run_schedule(resnet(p, 32), m).seconds;
+    const double t56 = run_schedule(resnet(p, 56), m).seconds;
     EXPECT_LT(t20, t32);
     EXPECT_LT(t32, t56);
     // Table 5 ratios: 20:32:56 are close to linear (1 : 1.63 : 2.91
@@ -133,12 +136,12 @@ TEST(Schedules, HelrembedsOneBootstrap)
     auto p = ckks::paper_set('C');
     auto s = helr_iteration(p);
     EXPECT_DOUBLE_EQ(s.bootstraps, 1);
-    EXPECT_GT(s.total(OpKind::hrotate), 10);
+    EXPECT_GT(s.total(Op::hrotate), 10);
     auto m = baselines::make_neo('C').model();
     // HELR > bare bootstrap, < 2x bootstrap (Table 5: 0.22 vs 0.24 —
     // the iteration is bootstrap-dominated).
-    const double t_boot = run_schedule(pack_bootstrap(p), m);
-    const double t_helr = run_schedule(s, m);
+    const double t_boot = run_schedule(pack_bootstrap(p), m).seconds;
+    const double t_helr = run_schedule(s, m).seconds;
     EXPECT_GT(t_helr, t_boot);
     EXPECT_LT(t_helr, 2 * t_boot);
 }
@@ -150,11 +153,11 @@ TEST(Schedules, ApplicationOrderingMatchesTable5)
     auto heon = baselines::make_heongpu();
     auto tfhe = baselines::make_tensorfhe('B');
     const double t_neo =
-        run_schedule(pack_bootstrap(neo.params), neo.model());
+        run_schedule(pack_bootstrap(neo.params), neo.model()).seconds;
     const double t_heon =
-        run_schedule(pack_bootstrap(heon.params), heon.model());
+        run_schedule(pack_bootstrap(heon.params), heon.model()).seconds;
     const double t_tfhe =
-        run_schedule(pack_bootstrap(tfhe.params), tfhe.model());
+        run_schedule(pack_bootstrap(tfhe.params), tfhe.model()).seconds;
     EXPECT_LT(t_neo, t_heon);
     EXPECT_LT(t_heon, t_tfhe);
     // Bands: within 3x of the published seconds.
@@ -170,9 +173,10 @@ TEST(Schedules, SsVariantsAreFasterPerOpThanFullDepth)
     // mirroring Neo_SS's 0.17 s vs Neo's 0.24 s.
     auto ss = baselines::make_neo_ss();
     auto full = baselines::make_neo('C');
-    const double t_ss = run_schedule(pack_bootstrap(ss.params), ss.model());
+    const double t_ss =
+        run_schedule(pack_bootstrap(ss.params), ss.model()).seconds;
     const double t_full =
-        run_schedule(pack_bootstrap(full.params), full.model());
+        run_schedule(pack_bootstrap(full.params), full.model()).seconds;
     EXPECT_LT(t_ss, t_full);
 }
 

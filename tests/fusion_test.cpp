@@ -266,8 +266,8 @@ TEST_F(Fusion, ModelSchedulesFewerKernelsAndLaunchesWhenFused)
 
     for (size_t level : {params.max_level, size_t{20}, size_t{5}}) {
         SCOPED_TRACE(::testing::Message() << "level=" << level);
-        const auto k_off = m_off.keyswitch_kernels_named(level);
-        const auto k_on = m_on.keyswitch_kernels_named(level);
+        const auto k_off = m_off.kernels(model::Op::keyswitch, level);
+        const auto k_on = m_on.kernels(model::Op::keyswitch, level);
         // The ModDown fix kernel disappears outright.
         EXPECT_LT(k_on.size(), k_off.size());
 
@@ -294,9 +294,9 @@ TEST_F(Fusion, GraphCaptureReplaysScheduleWithOneLaunch)
     const model::KernelModel m_ng(params, nograph);
 
     const auto att =
-        m.run_attributed(m.keyswitch_kernels_named(params.max_level));
+        m.run_attributed(m.kernels(model::Op::keyswitch, params.max_level));
     const auto att_ng = m_ng.run_attributed(
-        m_ng.keyswitch_kernels_named(params.max_level));
+        m_ng.kernels(model::Op::keyswitch, params.max_level));
 
     // ISSUE acceptance: launches collapse to ≤ 2 and the schedule is
     // no longer launch-bound.

@@ -103,8 +103,7 @@ TEST(ObsCore, EventCapIncrementsDroppedNotStored)
 
 TEST(ObsCore, PipelineEnginesFromName)
 {
-    // The stringly PipelineEngines::from_name surface is deprecated;
-    // EngineRegistry is the name <-> id mapping it resolved through.
+    // EngineRegistry is the one name <-> id mapping for engines.
     for (const EngineId id : EngineRegistry::ids()) {
         EXPECT_EQ(EngineRegistry::parse(EngineRegistry::name(id)), id);
         EXPECT_EQ(EngineRegistry::try_parse(EngineRegistry::name(id)),
@@ -112,14 +111,6 @@ TEST(ObsCore, PipelineEnginesFromName)
     }
     EXPECT_THROW(EngineRegistry::parse("cuda"), std::invalid_argument);
     EXPECT_FALSE(EngineRegistry::try_parse("cuda").has_value());
-    // The deprecated shim must keep resolving until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    for (auto name : PipelineEngines::names())
-        EXPECT_NO_THROW(PipelineEngines::from_name(name));
-    EXPECT_THROW(PipelineEngines::from_name("cuda"),
-                 std::invalid_argument);
-#pragma GCC diagnostic pop
 }
 
 // ---------------------------------------------------------------------

@@ -73,8 +73,9 @@ TEST(ProfModel, RowsSumToModeledTotal)
             double frac = 0;
             for (const auto &k : r.kernels) {
                 frac += k.fraction;
-                EXPECT_TRUE(k.bound == "compute" || k.bound == "memory" ||
-                            k.bound == "launch")
+                const std::string bound = gpusim::bound_name(k.bound());
+                EXPECT_TRUE(bound == "compute" || bound == "memory" ||
+                            bound == "launch")
                     << k.name;
             }
             EXPECT_NEAR(frac, 1.0, 1e-9);
@@ -100,14 +101,6 @@ TEST(ProfModel, UnknownNamesThrow)
                  std::invalid_argument);
     EXPECT_THROW(EngineRegistry::parse("warp_tcu"),
                  std::invalid_argument);
-    // The deprecated engine-string surface must keep validating both
-    // axes until it is removed (one deliberate deprecated call).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_THROW(prof::profile("nope", "fp64_tcu"),
-                 std::invalid_argument);
-    EXPECT_THROW(prof::profile("mul", "warp_tcu"), std::invalid_argument);
-#pragma GCC diagnostic pop
 }
 
 TEST(ProfKeyswitch, SpansMatchAnalyticCountsAndObsCounters)

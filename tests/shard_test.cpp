@@ -402,19 +402,20 @@ TEST(ShardModel, AttributionRowsSumToMakespan)
     for (size_t devices : {1u, 2u, 4u}) {
         model::ModelConfig cfg;
         cfg.devices = devices;
-        const auto sc = shard::model_sharded_keyswitch(
+        const auto sc = shard::model_keyswitch(
             params, params.max_level, cfg);
         double sum = 0;
         for (const auto &row : sc.kernels)
             sum += row.modeled_s;
         EXPECT_NEAR(sum, sc.seconds, 1e-9 * sc.seconds)
             << "devices=" << devices;
-        // Per-device rows exist and comm shows up only when sharded.
-        EXPECT_EQ(sc.per_device.size(), devices);
+        // Per-device rows and comm show up only when sharded.
         if (devices == 1) {
+            EXPECT_TRUE(sc.per_device.empty());
             EXPECT_DOUBLE_EQ(sc.comm_s, 0.0);
             EXPECT_TRUE(sc.links.empty());
         } else {
+            EXPECT_EQ(sc.per_device.size(), devices);
             EXPECT_GT(sc.comm_s, 0.0);
             EXPECT_EQ(sc.links.size(),
                       gpusim::Topology::nvlink(devices).num_links());
@@ -440,7 +441,7 @@ TEST(ShardModel, NvlinkCrossoverExistsAtPaperScale)
         model::ModelConfig cfg;
         cfg.devices = 2;
         cfg.interconnect = gpusim::Interconnect::nvlink;
-        const auto sc = shard::model_sharded_keyswitch(
+        const auto sc = shard::model_keyswitch(
             params, params.max_level, cfg);
         EXPECT_GT(sc.seconds, 0.0);
         if (sc.seconds < sc.single_seconds) {
@@ -462,9 +463,9 @@ TEST(ShardModel, PcieShardsSlowerThanNvlinkShards)
     nv.interconnect = gpusim::Interconnect::nvlink;
     model::ModelConfig pc = nv;
     pc.interconnect = gpusim::Interconnect::pcie;
-    const auto a = shard::model_sharded_keyswitch(
+    const auto a = shard::model_keyswitch(
         params, params.max_level, nv);
-    const auto b = shard::model_sharded_keyswitch(
+    const auto b = shard::model_keyswitch(
         params, params.max_level, pc);
     EXPECT_LT(a.seconds, b.seconds);
     EXPECT_GT(b.comm_s, a.comm_s);
@@ -472,18 +473,55 @@ TEST(ShardModel, PcieShardsSlowerThanNvlinkShards)
     EXPECT_DOUBLE_EQ(a.plan.total_bytes(), b.plan.total_bytes());
 }
 
+TEST(ShardModel, GraphReplaySpreadsOverCapturedLaunches)
+{
+    // Under graph capture each device's replay is billed per captured
+    // launch, as on one device: every one-launch kernel carries the
+    // same launch share, so the β = 2 ModUp BConvs bill exactly twice
+    // the input INTT — not the whole replay on the chain head.
+    const auto params = CkksParams::test_params(256, 5, 2);
+    const size_t level = params.max_level;
+    ASSERT_EQ(params.beta(level), 2u);
+    model::ModelConfig cfg;
+    cfg.devices = 2;
+    cfg.fuse_elementwise = true;
+    cfg.graph_capture = true;
+    const auto sc = shard::model_keyswitch(params, level, cfg);
+    const auto row = [&](std::string_view name) {
+        for (const auto &r : sc.kernels)
+            if (r.name == name)
+                return r;
+        ADD_FAILURE() << "no row " << name;
+        return model::KernelModel::KernelAttribution{};
+    };
+    const auto intt_q = row("intt_q");
+    const auto modup = row("modup_bconv");
+    EXPECT_GT(intt_q.launch_s, 0.0);
+    EXPECT_DOUBLE_EQ(modup.launch_s, 2 * intt_q.launch_s);
+    EXPECT_DOUBLE_EQ(row("ntt_q").launch_s, intt_q.launch_s);
+}
+
 TEST(ShardModel, DevicesOneDegeneratesToSingleSchedule)
 {
     const auto params = ckks::paper_set('C');
     model::ModelConfig cfg;
     cfg.devices = 1;
-    const auto sc = shard::model_sharded_keyswitch(
+    const auto sc = shard::model_keyswitch(
         params, params.max_level, cfg);
     // One device is *exactly* the single-device schedule — the same
-    // run() figure every unsharded profile reports.
+    // run_attributed figure and rows every unsharded profile reports.
     EXPECT_GT(sc.seconds, 0.0);
     EXPECT_DOUBLE_EQ(sc.seconds, sc.single_seconds);
     EXPECT_DOUBLE_EQ(sc.speedup(), 1.0);
+    const model::KernelModel m(params, cfg);
+    const auto att = m.run_attributed(
+        m.kernels(model::Op::keyswitch, params.max_level));
+    EXPECT_EQ(sc.seconds, att.seconds);
+    ASSERT_EQ(sc.kernels.size(), att.kernels.size());
+    for (size_t i = 0; i < att.kernels.size(); ++i) {
+        EXPECT_EQ(sc.kernels[i].name, att.kernels[i].name);
+        EXPECT_EQ(sc.kernels[i].modeled_s, att.kernels[i].modeled_s);
+    }
 }
 
 } // namespace
