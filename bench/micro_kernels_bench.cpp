@@ -64,6 +64,33 @@ BM_NttRadix16Matrix(benchmark::State &state)
 }
 BENCHMARK(BM_NttRadix16Matrix)->Arg(1 << 12)->Arg(1 << 14);
 
+/// Emulated-TCU matrix NTT as the KLSS pipeline runs it: radix 16,
+/// twists fused, one forward plus one inverse per iteration. Args:
+/// N, modulus bits, engine (0 = fp64_tcu, 1 = int8_tcu).
+void
+BM_MatrixNttTcu(benchmark::State &state)
+{
+    const size_t n = static_cast<size_t>(state.range(0));
+    Modulus q(generate_ntt_primes(static_cast<int>(state.range(1)), 1,
+                                  n)[0]);
+    NttTables t(n, q);
+    MatrixNtt mntt(t, 16);
+    const ModMatMulFn &mm =
+        state.range(2) == 0 ? fp64_tcu_matmul() : int8_tcu_matmul();
+    Rng rng(5);
+    auto a = rng.uniform_vec(n, q.value());
+    for (auto _ : state) {
+        mntt.forward(a.data(), mm, true);
+        mntt.inverse(a.data(), mm, true);
+        benchmark::DoNotOptimize(a.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * n);
+}
+BENCHMARK(BM_MatrixNttTcu)
+    ->ArgsProduct({{1 << 10, 1 << 12, 1 << 16}, {36, 48}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
 void
 BM_ScalarGemm(benchmark::State &state)
 {

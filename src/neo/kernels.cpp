@@ -60,6 +60,10 @@ BConvKernel::BConvKernel(const RnsBasis &from, const RnsBasis &to)
             factor_matrix_[i * ap + j] = conv_.factor(i, j);
     factor_pin_ = StaticPin(factor_matrix_.data(),
                             factor_matrix_.size() * sizeof(u64));
+    product_shoup_.resize(ap);
+    for (size_t j = 0; j < ap; ++j)
+        product_shoup_[j] = shoup_precompute(conv_.product_mod_to(j),
+                                             to[j].value());
 }
 
 void
@@ -171,7 +175,7 @@ BConvKernel::matmul_common(const u64 *in, size_t batch, size_t n, u64 *out,
        conv_.to().mods());
 
     // Exact epilogue: subtract r·B mod t_j per row (rank-1 update);
-    // rows are disjoint.
+    // rows are disjoint. mul_shoup takes the unreduced count r.
     if (exact) {
         parallel_for(
             0, n,
@@ -181,10 +185,11 @@ BConvKernel::matmul_common(const u64 *in, size_t batch, size_t n, u64 *out,
                         const u64 r = overflow[b * n + l];
                         u64 *row = prod + (l * batch + b) * ap;
                         for (size_t j = 0; j < ap; ++j) {
-                            const Modulus &tj = conv_.to()[j];
-                            u64 corr = tj.mul(tj.reduce(r),
-                                              conv_.product_mod_to(j));
-                            row[j] = tj.sub(row[j], corr);
+                            const u64 tv = conv_.to()[j].value();
+                            const u64 corr =
+                                mul_shoup(r, conv_.product_mod_to(j),
+                                          product_shoup_[j], tv);
+                            row[j] = sub_mod(row[j], corr, tv);
                         }
                     }
                 }

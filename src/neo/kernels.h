@@ -70,6 +70,8 @@ class BConvKernel
     // (kernel, engine). Makes the kernel move-only (vector moves keep
     // the heap buffer, so the pin stays valid).
     StaticPin factor_pin_;
+    // Shoup companions of B mod t_j, for the exact-mode epilogue.
+    std::vector<u64> product_shoup_;
 };
 
 /**

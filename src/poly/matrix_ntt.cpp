@@ -52,10 +52,10 @@ MatrixNtt::cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
     const Modulus &q = tables_.modulus();
     NEO_ASSERT(top == TopTwist::none || (rows == 1 && len > radix_),
                "fused twists apply to the top-level call only");
+    Workspace::Frame frame;
     if (len <= radix_) {
         // Base case: one (rows × len) · (len × len) matrix product.
         const auto &w = twiddle_matrix(len, inverse);
-        Workspace::Frame frame;
         u64 *out = frame.alloc<u64>(rows * len);
         mm(a, w.data(), out, rows, len, len, q);
         std::copy(out, out + rows * len, a);
@@ -64,72 +64,106 @@ MatrixNtt::cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
 
     const size_t n1 = radix_;
     const size_t n2 = len / n1;
-    const size_t nfull = tables_.n();
-    const size_t step = nfull / len; // ω_len = ω_full^step
+    const size_t step = tables_.n() / len; // ω_len = ω_full^step
+    const size_t emask = tables_.n() - 1;  // exponents of ω_full mod n
     const u64 qv = q.value();
-
     const auto &w1 = twiddle_matrix(n1, inverse);
+    // Every row of the batch is an independent length-len transform;
+    // each pass below is a data-parallel loop over (row, column)
+    // units of its matrices, so any chunking gives the same bytes.
+    const size_t units = rows * n2;
+    const size_t grain = row_chunk_grain(units, n1);
 
-    // Rows are independent length-len transforms over disjoint slices
-    // of `a`; each chunk carries its own scratch. A nested pool call
-    // (from the recursion or from `mm`) runs inline on the worker.
+    // Step 1: gather A[row][r][c] = x_row[r + n1*c] for all rows — one
+    // rows·n1 × n2 matrix. At the fused top level the ψ pre-twist
+    // rides in the gather: x[i] is multiplied by ψ^i exactly as the
+    // standalone pass would, just at its new address.
+    u64 *at = frame.alloc<u64>(rows * len);
     parallel_for(
-        0, rows,
-        [&](size_t row_begin, size_t row_end) {
-            // Worker-local arena frame: scratch comes from the
-            // executing thread's Workspace, so chunks never share
-            // buffers and repeat calls reuse warm blocks.
-            Workspace::Frame frame;
-            u64 *at = frame.alloc<u64>(len);  // n1 × n2 gathered matrix
-            u64 *out = frame.alloc<u64>(len); // n1 × n2 left-matmul result
-            for (size_t row = row_begin; row < row_end; ++row) {
-                u64 *x = a + row * len;
-                // Step 1: gather A[r][c] = x[r + n1*c]. At the fused
-                // top level the ψ pre-twist rides in the gather:
-                // element x[i] is multiplied by ψ^i exactly as the
-                // standalone pass would, just at its new address.
+        0, units,
+        [&](size_t ub, size_t ue) {
+            for (size_t u = ub; u < ue; ++u) {
+                const size_t row = u / n2, c = u % n2;
+                const u64 *x = a + row * len + n1 * c;
+                u64 *dst = at + row * len + c;
                 if (top == TopTwist::psi_fwd) {
-                    for (size_t r = 0; r < n1; ++r)
-                        for (size_t c = 0; c < n2; ++c)
-                            at[r * n2 + c] =
-                                mul_mod(x[r + n1 * c],
-                                        tables_.psi_pow(r + n1 * c), qv);
-                } else {
-                    for (size_t r = 0; r < n1; ++r)
-                        for (size_t c = 0; c < n2; ++c)
-                            at[r * n2 + c] = x[r + n1 * c];
-                }
-                // Step 2: length-n2 transforms on the n1 rows
-                // (recursive).
-                cyclic_batch(at, n1, n2, inverse, mm);
-                // Step 3: twisting factors ω_len^{r*k2}.
-                for (size_t r = 1; r < n1; ++r) {
-                    for (size_t k2 = 0; k2 < n2; ++k2) {
-                        size_t e = (r * k2 % len) * step;
-                        u64 w = inverse ? tables_.omega_inv_pow(e)
-                                        : tables_.omega_pow(e);
-                        at[r * n2 + k2] = mul_mod(at[r * n2 + k2], w, qv);
-                    }
-                }
-                // Step 4: left-multiply by the n1×n1 twiddle matrix.
-                mm(w1.data(), at, out, n1, n2, n1, q);
-                // Rows land in natural order:
-                // X[k1*n2 + k2] = out[k1][k2]. At the fused inverse
-                // top level the n⁻¹·ψ⁻¹ scaling rides in the
-                // writeback — same two mul_mods per element, same
-                // order, as the standalone pass.
-                if (top == TopTwist::psi_inv) {
-                    const u64 ninv = tables_.n_inv();
-                    for (size_t k = 0; k < len; ++k) {
-                        const u64 v = mul_mod(out[k], ninv, qv);
-                        x[k] = mul_mod(v, tables_.psi_inv_pow(k), qv);
+                    for (size_t r = 0; r < n1; ++r) {
+                        const size_t i = n1 * c + r;
+                        dst[r * n2] =
+                            mul_shoup(x[r], tables_.psi_pow(i),
+                                      tables_.psi_pow_shoup(i), qv);
                     }
                 } else {
-                    std::copy(out, out + len, x);
+                    for (size_t r = 0; r < n1; ++r)
+                        dst[r * n2] = x[r];
                 }
             }
         },
-        1);
+        grain);
+
+    // Step 2: length-n2 transforms on all rows·n1 rows — one recursion,
+    // so each radix stage is a single GEMM however many rows it has.
+    cyclic_batch(at, rows * n1, n2, inverse, mm);
+
+    // Step 3: twisting factors ω_len^{r·k2}, fused with the transpose
+    // T[row][k2][r] = A[row][r][k2] · ω_len^{r·k2} that makes the left
+    // twiddle product a right one below.
+    u64 *tw = frame.alloc<u64>(rows * len);
+    const u64 *wp = tables_.omega_table(inverse);
+    const u64 *wsp = tables_.omega_shoup_table(inverse);
+    parallel_for(
+        0, units,
+        [&](size_t ub, size_t ue) {
+            for (size_t u = ub; u < ue; ++u) {
+                const size_t row = u / n2, k2 = u % n2;
+                const u64 *src = at + row * len + k2;
+                u64 *dst = tw + u * n1;
+                dst[0] = src[0];
+                // e = r·k2 (mod len) in units of ω_full, stepped per r.
+                const size_t de = k2 * step;
+                size_t e = 0;
+                for (size_t r = 1; r < n1; ++r) {
+                    e = (e + de) & emask;
+                    dst[r] = mul_shoup(src[r * n2], wp[e], wsp[e], qv);
+                }
+            }
+        },
+        grain);
+
+    // Step 4: the n1×n1 twiddle matrix W is symmetric, so
+    // W·A = (Aᵀ·W)ᵀ: one (rows·n2 × n1) · (n1 × n1) GEMM with W as the
+    // (pinned) right operand. `at` is dead after step 3 and takes the
+    // product.
+    u64 *out = at;
+    mm(tw, w1.data(), out, units, n1, n1, q);
+
+    // Rows land in natural order: X_row[k1·n2 + k2] = out[row][k2][k1].
+    // At the fused inverse top level the n⁻¹·ψ⁻¹ scaling rides in the
+    // writeback: the same two modular products per element as the
+    // standalone pass.
+    parallel_for(
+        0, units,
+        [&](size_t ub, size_t ue) {
+            for (size_t u = ub; u < ue; ++u) {
+                const size_t row = u / n2, k2 = u % n2;
+                const u64 *src = out + u * n1;
+                u64 *x = a + row * len + k2;
+                if (top == TopTwist::psi_inv) {
+                    for (size_t k1 = 0; k1 < n1; ++k1) {
+                        const size_t k = k1 * n2 + k2;
+                        const u64 v = mul_shoup(src[k1], tables_.n_inv(),
+                                                tables_.n_inv_shoup(), qv);
+                        x[k1 * n2] =
+                            mul_shoup(v, tables_.psi_inv_pow(k),
+                                      tables_.psi_inv_pow_shoup(k), qv);
+                    }
+                } else {
+                    for (size_t k1 = 0; k1 < n1; ++k1)
+                        x[k1 * n2] = src[k1];
+                }
+            }
+        },
+        grain);
 }
 
 namespace {
@@ -165,7 +199,8 @@ MatrixNtt::forward(u64 *a, const ModMatMulFn &mm, bool fuse) const
             0, n,
             [&](size_t b, size_t e) {
                 for (size_t i = b; i < e; ++i)
-                    a[i] = mul_mod(a[i], tables_.psi_pow(i), qv);
+                    a[i] = mul_shoup(a[i], tables_.psi_pow(i),
+                                     tables_.psi_pow_shoup(i), qv);
             },
             4096);
     }
@@ -177,8 +212,7 @@ MatrixNtt::inverse(u64 *a, const ModMatMulFn &mm, bool fuse) const
 {
     obs::Span span("mntt_inv", obs::cat::ntt);
     const size_t n = tables_.n();
-    const Modulus &q = tables_.modulus();
-    const u64 qv = q.value();
+    const u64 qv = tables_.modulus().value();
     if (fuse && n > radix_) {
         twist_count("fuse.ntt_twist");
         cyclic_batch(a, 1, n, true, mm, TopTwist::psi_inv);
@@ -191,8 +225,10 @@ MatrixNtt::inverse(u64 *a, const ModMatMulFn &mm, bool fuse) const
         0, n,
         [&](size_t b, size_t e) {
             for (size_t i = b; i < e; ++i) {
-                u64 x = mul_mod(a[i], tables_.n_inv(), qv);
-                a[i] = mul_mod(x, tables_.psi_inv_pow(i), qv);
+                u64 x = mul_shoup(a[i], tables_.n_inv(),
+                                  tables_.n_inv_shoup(), qv);
+                a[i] = mul_shoup(x, tables_.psi_inv_pow(i),
+                                 tables_.psi_inv_pow_shoup(i), qv);
             }
         },
         4096);
@@ -214,7 +250,7 @@ MatrixNtt::accumulate(Complexity &c, size_t rows, size_t len, size_t radix)
     accumulate(c, rows * n1, n2, radix);
     // Twists.
     c.twist_muls += rows * (n1 - 1) * n2;
-    // Left matmul.
+    // Twiddle matmul: one GEMM over all rows of the stage.
     c.matmul_macs += rows * n1 * n2 * n1;
     c.matmul_stages += 1;
 }
@@ -233,24 +269,6 @@ MatrixNtt::complexity_for(size_t n, size_t radix)
     // ψ twist at entry.
     c.twist_muls += n;
     return c;
-}
-
-namespace {
-
-u64
-matmul_calls_rec(u64 rows, size_t len, size_t radix)
-{
-    if (len <= radix)
-        return 1;
-    return rows * (matmul_calls_rec(radix, len / radix, radix) + 1);
-}
-
-} // namespace
-
-u64
-MatrixNtt::matmul_calls_for(size_t n, size_t radix)
-{
-    return matmul_calls_rec(1, n, radix);
 }
 
 } // namespace neo

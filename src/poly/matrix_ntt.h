@@ -11,8 +11,17 @@
  *      matrix multiplication with the twiddle matrix,
  *   3. multiply element (r, k2) by the twisting factor ω^{r·k2}
  *      ("Mul & Trans" in Fig 9),
- *   4. multiply by the n1×n1 twiddle matrix on the left.
+ *   4. multiply by the n1×n1 twiddle matrix.
  * The result lands in natural order.
+ *
+ * Execution is stage-batched, as on the GPU: each recursion level
+ * gathers every row of the batch, recurses once on all rows·n1
+ * sub-rows, and runs its twiddle product as one GEMM over all rows. The
+ * twiddle matrix is symmetric, so W·A = (Aᵀ·W)ᵀ: step 3 writes the
+ * twisted matrix transposed and step 4 is a (rows·n2 × n1) · (n1 × n1)
+ * product with W always on the right, where the sliced engines cache
+ * its planes. A length-n transform therefore makes exactly
+ * complexity().matmul_stages engine calls.
  *
  * radix = n1 = √n  reproduces the classic four-step NTT; radix = 16
  * reproduces SHARP/Neo's radix-16 NTT, whose matrix products are all
@@ -50,8 +59,8 @@ class MatrixNtt
      * With @p fuse set, the ψ pre-twist pass is folded into the
      * top-level transpose-gather (one streaming pass less — the GPU
      * mapping's "twiddle-scale into NTT prologue" fusion). The fused
-     * and unfused paths apply the same mul_mod to every element in
-     * the same per-element order, so outputs are bit-identical.
+     * and unfused paths apply the same modular product to every
+     * element, so outputs are bit-identical.
      */
     void forward(u64 *a, const ModMatMulFn &mm = default_mat_mul(),
                  bool fuse = false) const;
@@ -67,7 +76,7 @@ class MatrixNtt
         u64 matmul_macs = 0;      ///< multiply-accumulates inside matmuls
         u64 twist_muls = 0;       ///< scalar twiddle multiplications
         u64 reorder_elems = 0;    ///< elements moved by gather/transpose
-        u64 matmul_stages = 0;    ///< number of matmul stages
+        u64 matmul_stages = 0;    ///< matmul stages = engine calls
     };
 
     /// Analytical complexity of one transform of length n.
@@ -75,17 +84,6 @@ class MatrixNtt
 
     /// Same computation without building tables (for cost models).
     static Complexity complexity_for(size_t n, size_t radix);
-
-    /**
-     * Number of ModMatMulFn invocations one transform actually makes.
-     * Differs from complexity().matmul_stages, which models the
-     * batched (per-stage) execution a GPU would launch: the CPU
-     * recursion issues one matmul per row at each level, i.e.
-     * calls(rows, len) = 1 if len ≤ radix, else
-     * rows · (calls(radix, len/radix) + 1). This is the number of
-     * `gemm` spans a traced run records per transform.
-     */
-    static u64 matmul_calls_for(size_t n, size_t radix);
 
   private:
     /// Element-wise pass folded into the top-level call (never into
@@ -96,7 +94,8 @@ class MatrixNtt
         psi_inv,  ///< n⁻¹·ψ⁻¹ scaling fused into the writeback
     };
 
-    /// Transform @p rows contiguous vectors of length @p len in place.
+    /// Transform @p rows contiguous vectors of length @p len in place,
+    /// with one engine call per radix stage.
     void cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
                       const ModMatMulFn &mm,
                       TopTwist top = TopTwist::none) const;

@@ -18,6 +18,7 @@ NttTables::NttTables(size_t n, const Modulus &q) : n_(n), q_(q)
     const u64 w = q.mul(psi_, psi_);
     const u64 w_inv = q.inv(w);
     n_inv_ = q.inv(q.reduce(n));
+    n_inv_shoup_ = shoup_precompute(n_inv_, qv);
 
     auto fill = [&](std::vector<u64> &pow, std::vector<u64> &shoup, u64 base) {
         pow.resize(n);
@@ -150,12 +151,11 @@ NttTables::inverse(u64 *a) const
     obs::Span span("ntt_r2_inv", obs::cat::ntt);
     const u64 qv = q_.value();
     inverse_cyclic_unscaled(a);
-    const u64 ninv_shoup = shoup_precompute(n_inv_, qv);
     parallel_for(
         0, n_,
         [&](size_t b, size_t e) {
             for (size_t i = b; i < e; ++i) {
-                u64 x = mul_shoup(a[i], n_inv_, ninv_shoup, qv);
+                u64 x = mul_shoup(a[i], n_inv_, n_inv_shoup_, qv);
                 a[i] = mul_shoup(x, psi_inv_pow_[i], psi_inv_pow_shoup_[i],
                                  qv);
             }

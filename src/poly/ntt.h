@@ -48,6 +48,24 @@ class NttTables
     /// n^{-1} mod q.
     u64 n_inv() const { return n_inv_; }
 
+    /// Shoup companions (shoup_precompute) of the values above, for
+    /// division-free mul_shoup by a table entry.
+    u64 psi_pow_shoup(size_t i) const { return psi_pow_shoup_[i]; }
+    u64 psi_inv_pow_shoup(size_t i) const { return psi_inv_pow_shoup_[i]; }
+    u64 n_inv_shoup() const { return n_inv_shoup_; }
+
+    /// The whole ω^i (or ω^{-i}) table, i < n, and its Shoup companions.
+    const u64 *
+    omega_table(bool inverse) const
+    {
+        return inverse ? w_inv_pow_.data() : w_pow_.data();
+    }
+    const u64 *
+    omega_shoup_table(bool inverse) const
+    {
+        return inverse ? w_inv_pow_shoup_.data() : w_pow_shoup_.data();
+    }
+
     /// In-place forward negacyclic NTT of @p a (n values < q).
     void forward(u64 *a) const;
 
@@ -65,6 +83,7 @@ class NttTables
     Modulus q_;
     u64 psi_;
     u64 n_inv_;
+    u64 n_inv_shoup_;
     std::vector<u64> psi_pow_, psi_pow_shoup_;
     std::vector<u64> psi_inv_pow_, psi_inv_pow_shoup_;
     std::vector<u64> w_pow_, w_pow_shoup_;

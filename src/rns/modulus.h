@@ -118,12 +118,24 @@ shoup_precompute(u64 w, u64 q)
     return static_cast<u64>((static_cast<u128>(w) << 64) / q);
 }
 
-/// (a * w) mod q given w_shoup = shoup_precompute(w, q). Result < q.
+/**
+ * a·w mod q up to one extra q, given w_shoup = shoup_precompute(w, q)
+ * and w < q: the result is congruent to a·w and lies in [0, 2q) for
+ * every 64-bit a — a need not be reduced.
+ */
+inline u64
+mul_shoup_lazy(u64 a, u64 w, u64 w_shoup, u64 q)
+{
+    u64 hi = static_cast<u64>((static_cast<u128>(a) * w_shoup) >> 64);
+    return a * w - hi * q;
+}
+
+/// (a * w) mod q given w_shoup = shoup_precompute(w, q). Result < q,
+/// for every 64-bit a.
 inline u64
 mul_shoup(u64 a, u64 w, u64 w_shoup, u64 q)
 {
-    u64 hi = static_cast<u64>((static_cast<u128>(a) * w_shoup) >> 64);
-    u64 r = a * w - hi * q;
+    const u64 r = mul_shoup_lazy(a, w, w_shoup, q);
     return r >= q ? r - q : r;
 }
 

@@ -55,7 +55,7 @@ generate_ntt_primes(int bit_size, int count, u64 ntt_size,
     std::vector<u64> out;
     out.reserve(count);
     // Largest candidate ≡ 1 (mod m) strictly below 2^bit_size.
-    u64 hi = (bit_size == 63) ? ~0ULL : ((1ULL << bit_size) - 1);
+    u64 hi = (1ULL << bit_size) - 1;
     u64 candidate = (hi / m) * m + 1;
     if (candidate > hi)
         candidate -= m;

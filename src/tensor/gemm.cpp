@@ -1,6 +1,9 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -102,24 +105,91 @@ row_grain(size_t m, size_t n, size_t k)
     return row_chunk_grain(m, n * k);
 }
 
-// Cache-tile sizes for the plane GEMM. MC is the parallel row chunk
-// (row_grain); NC × KC below tile the j / t loops so the B panel in
-// use stays L1/L2-resident; MR × NR is the register tile.
+// Cache-tile sizes for the plane GEMM. Rows come in recombination
+// tiles (kMC, below); NC × KC tile the j / t loops so the B panel in
+// use stays L1/L2-resident; MR rows × NV vectors is the register tile.
 constexpr size_t kNC = 128;
 constexpr size_t kKC = 256;
 constexpr size_t kMR = 4;
-constexpr size_t kNR = 8;
 
 /**
- * One MR×NR-register-tiled block of the plane GEMM:
+ * 16-byte vectors through the GCC/Clang vector extension. Every 64-bit
+ * baseline ISA has 16-byte vector registers (SSE2 on x86-64, NEON on
+ * AArch64), so this vectorizes with no -march and no dispatch; lanes
+ * are independent elements, so arithmetic is the scalar arithmetic.
+ */
+typedef double f64x2 __attribute__((vector_size(16)));
+typedef i32 i32x4 __attribute__((vector_size(16)));
+
+template <class T>
+struct VecOf;
+template <>
+struct VecOf<double>
+{
+    using type = f64x2;
+};
+template <>
+struct VecOf<i32>
+{
+    using type = i32x4;
+};
+
+/**
+ * The register tile: prod[i..i+MR, j..j+NV·L] (+)= am[i.., t0..t1] ·
+ * bm[t0..t1, j..], with MR·NV vector accumulators ("=" when first,
+ * "+=" on later KC slabs). Loads and stores go through memcpy, so no
+ * alignment is assumed.
+ */
+template <class T, size_t NV>
+inline void
+plane_tile(const T *am, const T *bm, T *prod, size_t i, size_t j,
+           size_t t0, size_t t1, size_t n, size_t k, bool first)
+{
+    using V = typename VecOf<T>::type;
+    constexpr size_t L = sizeof(V) / sizeof(T);
+    V acc[kMR][NV] = {};
+    const T *a0 = am + i * k;
+    for (size_t t = t0; t < t1; ++t) {
+        V bv[NV];
+#pragma GCC unroll 2
+        for (size_t v = 0; v < NV; ++v)
+            std::memcpy(&bv[v], bm + t * n + j + v * L, sizeof(V));
+#pragma GCC unroll 4
+        for (size_t ii = 0; ii < kMR; ++ii) {
+            const T av = a0[ii * k + t];
+#pragma GCC unroll 2
+            for (size_t v = 0; v < NV; ++v)
+                acc[ii][v] += av * bv[v];
+        }
+    }
+#pragma GCC unroll 4
+    for (size_t ii = 0; ii < kMR; ++ii) {
+#pragma GCC unroll 2
+        for (size_t v = 0; v < NV; ++v) {
+            T *out = prod + (i + ii) * n + j + v * L;
+            if (!first) {
+                V old;
+                std::memcpy(&old, out, sizeof(V));
+                acc[ii][v] += old;
+            }
+            std::memcpy(out, &acc[ii][v], sizeof(V));
+        }
+    }
+}
+
+/**
+ * One cache block of the plane GEMM:
  *   prod[i0..i1, j0..j1] (+)= am[i0..i1, t0..t1] · bm[t0..t1, j0..j1]
- * ("=" when first, "+=" otherwise, i.e. on later KC slabs).
+ * ("=" when first, "+=" otherwise, i.e. on later KC slabs). Full MR-row
+ * strips run the vector tile, two vectors wide and then one; leftover
+ * rows and columns run scalar loops.
  *
- * Determinism: each output element accumulates its t-products in
- * strictly ascending t order — the same order as the naive triple
- * loop — so the blocked kernel is bit-identical to it (and, for the
- * FP64 path, exact anyway: every intermediate stays below 2^53 by
- * construction of the SplitPlan).
+ * Exactness: for FP64 every partial sum stays below 2^53 by
+ * construction of the SplitPlan (INT8 planes below 2^31), so
+ * accumulation is exact in any order and the blocked kernel is
+ * bit-identical to the naive triple loop. It also keeps each output
+ * element's t-products in ascending t order, so it would be even
+ * without the proof.
  */
 template <class T>
 void
@@ -127,106 +197,77 @@ plane_gemm_block(const T *am, const T *bm, T *prod, size_t i0, size_t i1,
                  size_t j0, size_t j1, size_t t0, size_t t1, size_t n,
                  size_t k, bool first)
 {
+    constexpr size_t L = sizeof(typename VecOf<T>::type) / sizeof(T);
+    const auto store = [&](T &out, T acc) {
+        out = first ? acc : out + acc;
+    };
     size_t i = i0;
     for (; i + kMR <= i1; i += kMR) {
         size_t j = j0;
-        for (; j + kNR <= j1; j += kNR) {
-            T acc[kMR][kNR] = {};
-            for (size_t t = t0; t < t1; ++t) {
-                T bv[kNR];
-                for (size_t jj = 0; jj < kNR; ++jj)
-                    bv[jj] = bm[t * n + j + jj];
-                for (size_t ii = 0; ii < kMR; ++ii) {
-                    const T av = am[(i + ii) * k + t];
-                    for (size_t jj = 0; jj < kNR; ++jj)
-                        acc[ii][jj] += av * bv[jj];
-                }
-            }
-            for (size_t ii = 0; ii < kMR; ++ii)
-                for (size_t jj = 0; jj < kNR; ++jj) {
-                    T &out = prod[(i + ii) * n + j + jj];
-                    out = first ? acc[ii][jj] : out + acc[ii][jj];
-                }
-        }
+        for (; j + 2 * L <= j1; j += 2 * L)
+            plane_tile<T, 2>(am, bm, prod, i, j, t0, t1, n, k, first);
+        for (; j + L <= j1; j += L)
+            plane_tile<T, 1>(am, bm, prod, i, j, t0, t1, n, k, first);
         for (; j < j1; ++j) {
             T acc[kMR] = {};
             for (size_t t = t0; t < t1; ++t) {
                 const T bv = bm[t * n + j];
+#pragma GCC unroll 4
                 for (size_t ii = 0; ii < kMR; ++ii)
                     acc[ii] += am[(i + ii) * k + t] * bv;
             }
-            for (size_t ii = 0; ii < kMR; ++ii) {
-                T &out = prod[(i + ii) * n + j];
-                out = first ? acc[ii] : out + acc[ii];
-            }
+#pragma GCC unroll 4
+            for (size_t ii = 0; ii < kMR; ++ii)
+                store(prod[(i + ii) * n + j], acc[ii]);
         }
     }
-    for (; i < i1; ++i) {
-        size_t j = j0;
-        for (; j + kNR <= j1; j += kNR) {
-            T acc[kNR] = {};
-            for (size_t t = t0; t < t1; ++t) {
-                const T av = am[i * k + t];
-                for (size_t jj = 0; jj < kNR; ++jj)
-                    acc[jj] += av * bm[t * n + j + jj];
-            }
-            for (size_t jj = 0; jj < kNR; ++jj) {
-                T &out = prod[i * n + j + jj];
-                out = first ? acc[jj] : out + acc[jj];
-            }
-        }
-        for (; j < j1; ++j) {
+    for (; i < i1; ++i)
+        for (size_t j = j0; j < j1; ++j) {
             T acc = 0;
             for (size_t t = t0; t < t1; ++t)
                 acc += am[i * k + t] * bm[t * n + j];
-            T &out = prod[i * n + j];
-            out = first ? acc : out + acc;
+            store(prod[i * n + j], acc);
         }
+}
+
+/// prod = am(m×k) · bm(k×n) for one block of rows, cache-blocked.
+template <class T>
+void
+plane_gemm_rows(const T *am, const T *bm, T *prod, size_t m, size_t n,
+                size_t k)
+{
+    for (size_t jc = 0; jc < n; jc += kNC) {
+        const size_t je = std::min(n, jc + kNC);
+        for (size_t tc = 0; tc < k; tc += kKC)
+            plane_gemm_block(am, bm, prod, 0, m, jc, je, tc,
+                             std::min(k, tc + kKC), n, k, tc == 0);
     }
 }
 
-/// prod = am(m×k) · bm(k×n), blocked and parallel over row chunks.
 template <class T>
-void
-plane_gemm(const T *am, const T *bm, T *prod, size_t m, size_t n, size_t k)
-{
-    parallel_for(
-        0, m,
-        [&](size_t rb, size_t re) {
-            for (size_t jc = 0; jc < n; jc += kNC) {
-                const size_t je = std::min(n, jc + kNC);
-                for (size_t tc = 0; tc < k; tc += kKC)
-                    plane_gemm_block(am, bm, prod, rb, re, jc, je, tc,
-                                     std::min(k, tc + kKC), n, k, tc == 0);
-            }
-        },
-        row_grain(m, n, k));
-}
+using PlanesPtr = std::shared_ptr<const std::vector<T>>;
 
 /// Operand planes: cache hit for pinned operands, workspace slice
 /// otherwise. The returned pointer is valid for the caller's Frame
-/// lifetime (the shared_ptr keeps cached planes alive).
-const double *
-f64_planes(const u64 *p, size_t count, int planes, int plane_bits,
-           Workspace::Frame &frame, PlaneCache::F64Ptr &keep)
+/// lifetime (`keep` holds cached planes alive).
+template <class T>
+const T *
+operand_planes(const u64 *p, size_t count, int planes, int plane_bits,
+               Workspace::Frame &frame, PlanesPtr<T> &keep)
 {
-    keep = PlaneCache::global().f64_planes(p, count, planes, plane_bits);
+    constexpr bool f64 = std::is_same_v<T, double>;
+    PlaneCache &cache = PlaneCache::global();
+    if constexpr (f64)
+        keep = cache.f64_planes(p, count, planes, plane_bits);
+    else
+        keep = cache.i32_planes(p, count, planes, plane_bits);
     if (keep != nullptr)
         return keep->data();
-    double *buf = frame.alloc<double>(static_cast<size_t>(planes) * count);
-    slice_to_f64(p, count, planes, plane_bits, buf);
-    return buf;
-}
-
-const i32 *
-i32_planes(const u64 *p, size_t count, int planes, int plane_bits,
-           Workspace::Frame &frame, PlaneCache::I32Ptr &keep)
-{
-    keep = PlaneCache::global().i32_planes(p, count, planes, plane_bits);
-    if (keep != nullptr)
-        return keep->data();
-    i32 *buf = frame.alloc<i32>(static_cast<size_t>(planes) * count);
-    slice_to_i32(p, count, planes, plane_bits, buf);
+    T *buf = frame.alloc<T>(static_cast<size_t>(planes) * count);
+    if constexpr (f64)
+        slice_to_f64(p, count, planes, plane_bits, buf);
+    else
+        slice_to_i32(p, count, planes, plane_bits, buf);
     return buf;
 }
 
@@ -242,6 +283,165 @@ operand_bits(const u64 *v, size_t count)
     return bit_size(m);
 }
 
+/// A plane-product sum as the integer it holds exactly: FP64 sums stay
+/// below 2^53 and INT32 sums of unsigned 8-bit planes below 2^31, so
+/// the signed conversions are exact (and single instructions).
+inline u64
+to_u64(double v)
+{
+    return static_cast<u64>(static_cast<i64>(v));
+}
+
+inline u64
+to_u64(i32 v)
+{
+    return static_cast<u64>(v);
+}
+
+/**
+ * Recombine weights of one GEMM: column j reduces modulo q[j], and
+ * plane pair `pair` carries w[pair·n + j] = 2^shift mod q[j] with Shoup
+ * companion ws[pair·n + j]. `lazy` is the fewest lazy terms a u64 sum
+ * holds over all columns (Pow2Table::lazy_terms).
+ */
+struct Weights
+{
+    const u64 *q, *w, *ws;
+    u64 lazy;
+};
+
+/// Weights for @p n columns, column j reducing mod qcol(j), from the
+/// cached recombine tables; the arrays live in @p frame.
+template <class ColQ>
+Weights
+column_weights(Workspace::Frame &frame, const SplitPlan &plan, size_t n,
+               ColQ &&qcol)
+{
+    const size_t pairs = static_cast<size_t>(plan.products());
+    u64 *q = frame.alloc<u64>(n);
+    u64 *w = frame.alloc<u64>(pairs * n);
+    u64 *ws = frame.alloc<u64>(pairs * n);
+    Weights wt{q, w, ws, ~0ULL};
+    PlaneCache::Pow2Ptr tab;
+    for (size_t j = 0; j < n; ++j) {
+        q[j] = qcol(j);
+        if (j == 0 || q[j] != q[j - 1])
+            tab = PlaneCache::global().pow2(plan, q[j]);
+        wt.lazy = std::min(wt.lazy, tab->lazy_terms);
+        for (size_t pair = 0; pair < pairs; ++pair) {
+            w[pair * n + j] = tab->w[pair];
+            ws[pair * n + j] = tab->w_shoup[pair];
+        }
+    }
+    return wt;
+}
+
+/**
+ * Recombination of one tile, division-free: c[e] = Σ_pair 2^shift ·
+ * p[pair·count + e] (mod q_j) over `pairs` plane products of `count`
+ * elements (rows of n columns, the last row possibly partial), one
+ * streaming pass per pair. Each term is a lazy Shoup product in
+ * [0, 2q) — exact for any 64-bit plane sum, so sums need no reduction
+ * first — and C holds up to `lazy` terms before a reduction pass. A
+ * Shoup product by pair (0, 0)'s weight 2^0 = 1 reduces. Moduli above
+ * 2^62 (lazy < 2) add reduced terms with add_mod instead.
+ */
+template <class T>
+void
+recombine(u64 *c, const T *p, size_t count, size_t n, size_t pairs,
+          const Weights &wt)
+{
+    const u64 *q = wt.q;
+    const auto cells = [&](auto &&f) {
+        for (size_t i = 0; i < count; i += n)
+            for (size_t j = 0, je = std::min(n, count - i); j < je; ++j)
+                f(i + j, j);
+    };
+    const auto reduce = [&](size_t e, size_t j) {
+        c[e] = mul_shoup(c[e], 1, wt.ws[j], q[j]);
+    };
+    u64 terms = 0;
+    for (size_t pair = 0; pair < pairs; ++pair) {
+        const T *pp = p + pair * count;
+        const u64 *w = wt.w + pair * n;
+        const u64 *ws = wt.ws + pair * n;
+        const auto term = [&](size_t e, size_t j) {
+            return mul_shoup_lazy(to_u64(pp[e]), w[j], ws[j], q[j]);
+        };
+        if (wt.lazy < 2) {
+            cells([&](size_t e, size_t j) {
+                u64 t = term(e, j);
+                t = t >= q[j] ? t - q[j] : t;
+                c[e] = pair == 0 ? t : add_mod(c[e], t, q[j]);
+            });
+            continue;
+        }
+        if (terms == wt.lazy) {
+            cells(reduce);
+            terms = 1;
+        }
+        if (pair == 0)
+            cells([&](size_t e, size_t j) { c[e] = term(e, j); });
+        else
+            cells([&](size_t e, size_t j) { c[e] += term(e, j); });
+        ++terms;
+    }
+    if (wt.lazy >= 2)
+        cells(reduce);
+}
+
+// Rows per recombination tile: the tile's plane products stay in L1/L2
+// between the GEMMs that write them and the pass that folds them.
+constexpr size_t kMC = 32;
+
+/**
+ * Shared skeleton of the single-GEMM sliced engines: slice both
+ * operands (cached when pinned), then per tile of output rows run every
+ * plane pair's GEMM and fold the products into C. Column j reduces
+ * modulo mods[j · mod_stride] (stride 0: one modulus for every column).
+ * Each output element accumulates its k-products inside one plane GEMM
+ * (exact by plan construction) and its planes in exact modular
+ * arithmetic inside one row tile, so the result is bit-identical for
+ * any tiling and thread count.
+ */
+template <class T>
+void
+sliced_matmul_impl(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+                   size_t k, const SplitPlan &plan, const Modulus *mods,
+                   size_t mod_stride)
+{
+    Workspace::Frame frame;
+    PlanesPtr<T> keep_a, keep_b;
+    const T *ap = operand_planes<T>(a, m * k, plan.a_planes,
+                                    plan.a_plane_bits, frame, keep_a);
+    const T *bp = operand_planes<T>(b, k * n, plan.b_planes,
+                                    plan.b_plane_bits, frame, keep_b);
+    const size_t pairs = static_cast<size_t>(plan.products());
+    const Weights wt = column_weights(frame, plan, n, [&](size_t j) {
+        return mods[j * mod_stride].value();
+    });
+    parallel_for(
+        0, m,
+        [&](size_t rb, size_t re) {
+            Workspace::Frame wframe;
+            T *prod = wframe.alloc<T>(pairs * std::min(kMC, re - rb) * n);
+            for (size_t i0 = rb; i0 < re; i0 += kMC) {
+                const size_t rows = std::min(kMC, re - i0);
+                for (size_t pair = 0; pair < pairs; ++pair) {
+                    // The per-plane GEMM the TCU executes: pure T
+                    // arithmetic, exact by construction of the plan.
+                    const T *am = ap + (pair / plan.b_planes) * m * k +
+                                  i0 * k;
+                    const T *bm = bp + (pair % plan.b_planes) * k * n;
+                    plane_gemm_rows(am, bm, prod + pair * rows * n, rows,
+                                    n, k);
+                }
+                recombine(c + i0 * n, prod, rows * n, n, pairs, wt);
+            }
+        },
+        row_grain(m, n, k * pairs));
+}
+
 } // namespace
 
 void
@@ -251,40 +451,7 @@ fp64_sliced_matmul_plan(const u64 *a, const u64 *b, u64 *c, size_t m,
 {
     obs::Span span("fp64_gemm", obs::cat::gemm);
     note_gemm(m, n, k);
-    const u64 qv = q.value();
-    Workspace::Frame frame;
-    PlaneCache::F64Ptr keep_a, keep_b;
-    const double *ap =
-        f64_planes(a, m * k, plan.a_planes, plan.a_plane_bits, frame, keep_a);
-    const double *bp =
-        f64_planes(b, k * n, plan.b_planes, plan.b_plane_bits, frame, keep_b);
-    const PlaneCache::Pow2Ptr pow2 = PlaneCache::global().pow2(plan, qv);
-
-    double *prod = frame.alloc<double>(m * n);
-    std::fill(c, c + m * n, 0);
-    for (int pa = 0; pa < plan.a_planes; ++pa) {
-        const double *am = ap + static_cast<size_t>(pa) * m * k;
-        for (int pb = 0; pb < plan.b_planes; ++pb) {
-            const double *bm = bp + static_cast<size_t>(pb) * k * n;
-            // The per-plane GEMM the TCU executes: pure double
-            // arithmetic, exact because every accumulation stays
-            // below 2^53 by construction of the plan.
-            plane_gemm(am, bm, prod, m, n, k);
-            // Recombine: C += 2^shift * P (mod q). The plane loops
-            // stay sequential, so each c[i] accumulates its planes in
-            // the fixed (pa, pb) order.
-            const u64 w = (*pow2)[static_cast<size_t>(pa) * plan.b_planes + pb];
-            parallel_for(
-                0, m * n,
-                [&](size_t b0, size_t e0) {
-                    for (size_t i = b0; i < e0; ++i) {
-                        u64 v = q.reduce(static_cast<u64>(prod[i]));
-                        c[i] = add_mod(c[i], q.mul(v, w), qv);
-                    }
-                },
-                8192);
-        }
-    }
+    sliced_matmul_impl<double>(a, b, c, m, n, k, plan, &q, 0);
 }
 
 void
@@ -301,37 +468,9 @@ int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
 {
     obs::Span span("int8_gemm", obs::cat::gemm);
     note_gemm(m, n, k);
-    const u64 qv = q.value();
+    // INT32 accumulation, as on the INT8 tensor core.
     const SplitPlan plan = choose_int8_split(q.bits(), q.bits(), k);
-    Workspace::Frame frame;
-    PlaneCache::I32Ptr keep_a, keep_b;
-    const i32 *ap =
-        i32_planes(a, m * k, plan.a_planes, plan.a_plane_bits, frame, keep_a);
-    const i32 *bp =
-        i32_planes(b, k * n, plan.b_planes, plan.b_plane_bits, frame, keep_b);
-    const PlaneCache::Pow2Ptr pow2 = PlaneCache::global().pow2(plan, qv);
-
-    i32 *prod = frame.alloc<i32>(m * n);
-    std::fill(c, c + m * n, 0);
-    for (int pa = 0; pa < plan.a_planes; ++pa) {
-        const i32 *am = ap + static_cast<size_t>(pa) * m * k;
-        for (int pb = 0; pb < plan.b_planes; ++pb) {
-            const i32 *bm = bp + static_cast<size_t>(pb) * k * n;
-            // INT32 accumulation, as on the INT8 tensor core.
-            plane_gemm(am, bm, prod, m, n, k);
-            const u64 w = (*pow2)[static_cast<size_t>(pa) * plan.b_planes + pb];
-            parallel_for(
-                0, m * n,
-                [&](size_t b0, size_t e0) {
-                    for (size_t i = b0; i < e0; ++i) {
-                        u64 v = q.reduce(
-                            static_cast<u64>(static_cast<u32>(prod[i])));
-                        c[i] = add_mod(c[i], q.mul(v, w), qv);
-                    }
-                },
-                8192);
-        }
-    }
+    sliced_matmul_impl<i32>(a, b, c, m, n, k, plan, &q, 0);
 }
 
 void
@@ -371,45 +510,10 @@ fp64_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
     NEO_CHECK(col_mods.size() == n, "column modulus count mismatch");
     const int wa = operand_bits(a, m * k);
     const int wb = operand_bits(b, k * n);
-    const SplitPlan plan = choose_fp64_split(std::max(wa, 1),
-                                             std::max(wb, 1), k);
-    Workspace::Frame frame;
-    PlaneCache::F64Ptr keep_a, keep_b;
-    const double *ap =
-        f64_planes(a, m * k, plan.a_planes, plan.a_plane_bits, frame, keep_a);
-    const double *bp =
-        f64_planes(b, k * n, plan.b_planes, plan.b_plane_bits, frame, keep_b);
-
-    double *prod = frame.alloc<double>(m * n);
-    u64 *w = frame.alloc<u64>(n);
-    std::fill(c, c + m * n, 0);
-    for (int pa = 0; pa < plan.a_planes; ++pa) {
-        const double *am = ap + static_cast<size_t>(pa) * m * k;
-        for (int pb = 0; pb < plan.b_planes; ++pb) {
-            const double *bm = bp + static_cast<size_t>(pb) * k * n;
-            plane_gemm(am, bm, prod, m, n, k);
-            // Per-column shift weights, hoisted out of the recombine
-            // loop (was one pow_mod per output element).
-            const int shift =
-                pa * plan.a_plane_bits + pb * plan.b_plane_bits;
-            for (size_t j = 0; j < n; ++j)
-                w[j] = pow_mod(2, shift, col_mods[j].value());
-            parallel_for(
-                0, m,
-                [&](size_t rb, size_t re) {
-                    for (size_t i = rb; i < re; ++i) {
-                        for (size_t j = 0; j < n; ++j) {
-                            const Modulus &q = col_mods[j];
-                            u64 v = q.reduce(
-                                static_cast<u64>(prod[i * n + j]));
-                            c[i * n + j] =
-                                q.add(c[i * n + j], q.mul(v, w[j]));
-                        }
-                    }
-                },
-                row_grain(m, n, 1));
-        }
-    }
+    sliced_matmul_impl<double>(
+        a, b, c, m, n, k,
+        choose_fp64_split(std::max(wa, 1), std::max(wb, 1), k),
+        col_mods.data(), 1);
 }
 
 void
@@ -422,43 +526,10 @@ int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
     NEO_CHECK(col_mods.size() == n, "column modulus count mismatch");
     const int wa = operand_bits(a, m * k);
     const int wb = operand_bits(b, k * n);
-    const SplitPlan plan =
-        choose_int8_split(std::max(wa, 1), std::max(wb, 1), k);
-    Workspace::Frame frame;
-    PlaneCache::I32Ptr keep_a, keep_b;
-    const i32 *ap =
-        i32_planes(a, m * k, plan.a_planes, plan.a_plane_bits, frame, keep_a);
-    const i32 *bp =
-        i32_planes(b, k * n, plan.b_planes, plan.b_plane_bits, frame, keep_b);
-
-    i32 *prod = frame.alloc<i32>(m * n);
-    u64 *w = frame.alloc<u64>(n);
-    std::fill(c, c + m * n, 0);
-    for (int pa = 0; pa < plan.a_planes; ++pa) {
-        const i32 *am = ap + static_cast<size_t>(pa) * m * k;
-        for (int pb = 0; pb < plan.b_planes; ++pb) {
-            const i32 *bm = bp + static_cast<size_t>(pb) * k * n;
-            plane_gemm(am, bm, prod, m, n, k);
-            const int shift =
-                pa * plan.a_plane_bits + pb * plan.b_plane_bits;
-            for (size_t j = 0; j < n; ++j)
-                w[j] = pow_mod(2, shift, col_mods[j].value());
-            parallel_for(
-                0, m,
-                [&](size_t rb, size_t re) {
-                    for (size_t i = rb; i < re; ++i) {
-                        for (size_t j = 0; j < n; ++j) {
-                            const Modulus &q = col_mods[j];
-                            u64 v = q.reduce(static_cast<u64>(
-                                static_cast<u32>(prod[i * n + j])));
-                            c[i * n + j] =
-                                q.add(c[i * n + j], q.mul(v, w[j]));
-                        }
-                    }
-                },
-                row_grain(m, n, 1));
-        }
-    }
+    sliced_matmul_impl<i32>(
+        a, b, c, m, n, k,
+        choose_int8_split(std::max(wa, 1), std::max(wb, 1), k),
+        col_mods.data(), 1);
 }
 
 void
@@ -503,70 +574,70 @@ namespace {
  * Shared skeleton of the sliced per-site GEMMs: decompose both full
  * tensors into planes once (one plane-cache entry per static operand
  * covering every site), then per site run the plane micro-GEMMs and
- * recombine with the site's modulus. Every output element accumulates
- * its k-products in ascending order and its planes in (pa, pb) order —
- * exactly like the single-site engines, and exact by plan
- * construction — so results are bit-identical to calling the matching
+ * recombine with the site's modulus. Site s reduces mod
+ * mods[s mod nmods], so each run of nmods consecutive sites — one
+ * group, nmods·m·n contiguous outputs — is a row whose column j reduces
+ * mod mods[j / (m·n)]: the column-modulus recombination of the GEMM
+ * engines, over tiles of groups. Every output element accumulates its
+ * k-products in ascending order and its planes in exact modular
+ * arithmetic, so results are bit-identical to calling the matching
  * single-site engine once per site.
  */
-template <class T, class Slice, class Fold>
+template <class T>
 void
 sliced_matmul_sites_impl(const u64 *a, const u64 *b, u64 *c, size_t sites,
                          size_t m, size_t n, size_t k,
                          const std::vector<Modulus> &mods,
-                         const SplitPlan &plan, Slice &&slice, Fold &&fold)
+                         const SplitPlan &plan)
 {
     const size_t nmods = mods.size();
+    const size_t mn = m * n;
     Workspace::Frame frame;
-    const T *ap, *bp;
-    auto keep_a = slice(a, sites * m * k, plan.a_planes, plan.a_plane_bits,
-                        frame, ap);
-    auto keep_b = slice(b, sites * k * n, plan.b_planes, plan.b_plane_bits,
-                        frame, bp);
-    (void)keep_a;
-    (void)keep_b;
+    PlanesPtr<T> keep_a, keep_b;
+    const T *ap = operand_planes<T>(a, sites * m * k, plan.a_planes,
+                                    plan.a_plane_bits, frame, keep_a);
+    const T *bp = operand_planes<T>(b, sites * k * n, plan.b_planes,
+                                    plan.b_plane_bits, frame, keep_b);
+    const size_t pairs = static_cast<size_t>(plan.products());
+    const size_t width = nmods * mn;
+    const Weights wt = column_weights(frame, plan, width, [&](size_t j) {
+        return mods[j / mn].value();
+    });
 
-    // One pow2 recombine table per distinct site modulus (cached,
-    // data-independent); row-major in (pa, pb) like the plan.
-    std::vector<PlaneCache::Pow2Ptr> tabs(nmods);
-    for (size_t r = 0; r < nmods; ++r)
-        tabs[r] = PlaneCache::global().pow2(plan, mods[r].value());
-
-    const size_t pairs =
-        static_cast<size_t>(plan.a_planes) * plan.b_planes;
+    const size_t groups = ceil_div(sites, nmods);
     parallel_for(
-        0, sites,
-        [&](size_t sb, size_t se) {
+        0, groups,
+        [&](size_t gb, size_t ge) {
             Workspace::Frame wframe;
-            T *prod = wframe.alloc<T>(m * n);
-            for (size_t s = sb; s < se; ++s) {
-                const Modulus &q = mods[s % nmods];
-                const u64 qv = q.value();
-                const u64 *w = tabs[s % nmods]->data();
-                u64 *cs = c + s * m * n;
-                std::fill(cs, cs + m * n, 0);
+            T *prod =
+                wframe.alloc<T>(pairs * std::min(kMC, ge - gb) * width);
+            for (size_t g0 = gb; g0 < ge; g0 += kMC) {
+                const size_t s0 = g0 * nmods;
+                const size_t s1 =
+                    std::min(sites, std::min(ge, g0 + kMC) * nmods);
+                const size_t count = (s1 - s0) * mn;
                 for (size_t pair = 0; pair < pairs; ++pair) {
-                    const T *am = ap +
-                                  (pair / plan.b_planes) * sites * m * k +
-                                  s * m * k;
-                    const T *bm = bp +
-                                  (pair % plan.b_planes) * sites * k * n +
-                                  s * k * n;
-                    for (size_t i = 0; i < m; ++i)
-                        for (size_t j = 0; j < n; ++j) {
-                            T acc = 0;
-                            for (size_t t = 0; t < k; ++t)
-                                acc += am[i * k + t] * bm[t * n + j];
-                            prod[i * n + j] = acc;
-                        }
-                    const u64 wv = w[pair];
-                    for (size_t i = 0; i < m * n; ++i)
-                        cs[i] = add_mod(
-                            cs[i], q.mul(q.reduce(fold(prod[i])), wv), qv);
+                    const T *ap_pair =
+                        ap + (pair / plan.b_planes) * sites * m * k;
+                    const T *bp_pair =
+                        bp + (pair % plan.b_planes) * sites * k * n;
+                    for (size_t s = s0; s < s1; ++s) {
+                        const T *am = ap_pair + s * m * k;
+                        const T *bm = bp_pair + s * k * n;
+                        T *ps = prod + pair * count + (s - s0) * mn;
+                        for (size_t i = 0; i < m; ++i)
+                            for (size_t j = 0; j < n; ++j) {
+                                T acc = 0;
+                                for (size_t t = 0; t < k; ++t)
+                                    acc += am[i * k + t] * bm[t * n + j];
+                                ps[i * n + j] = acc;
+                            }
+                    }
                 }
+                recombine(c + s0 * mn, prod, count, width, pairs, wt);
             }
         },
-        row_chunk_grain(sites, pairs * m * n * k));
+        row_chunk_grain(groups, nmods * pairs * mn * k));
 }
 
 } // namespace
@@ -581,17 +652,9 @@ fp64_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
     NEO_CHECK(!mods.empty(), "site modulus list empty");
     const int wa = operand_bits(a, sites * m * k);
     const int wb = operand_bits(b, sites * k * n);
-    const SplitPlan plan =
-        choose_fp64_split(std::max(wa, 1), std::max(wb, 1), k);
     sliced_matmul_sites_impl<double>(
-        a, b, c, sites, m, n, k, mods, plan,
-        [](const u64 *p, size_t count, int planes, int bits,
-           Workspace::Frame &frame, const double *&out) {
-            PlaneCache::F64Ptr keep;
-            out = f64_planes(p, count, planes, bits, frame, keep);
-            return keep;
-        },
-        [](double v) { return static_cast<u64>(v); });
+        a, b, c, sites, m, n, k, mods,
+        choose_fp64_split(std::max(wa, 1), std::max(wb, 1), k));
 }
 
 void
@@ -604,17 +667,9 @@ int8_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
     NEO_CHECK(!mods.empty(), "site modulus list empty");
     const int wa = operand_bits(a, sites * m * k);
     const int wb = operand_bits(b, sites * k * n);
-    const SplitPlan plan =
-        choose_int8_split(std::max(wa, 1), std::max(wb, 1), k);
     sliced_matmul_sites_impl<i32>(
-        a, b, c, sites, m, n, k, mods, plan,
-        [](const u64 *p, size_t count, int planes, int bits,
-           Workspace::Frame &frame, const i32 *&out) {
-            PlaneCache::I32Ptr keep;
-            out = i32_planes(p, count, planes, bits, frame, keep);
-            return keep;
-        },
-        [](i32 v) { return static_cast<u64>(static_cast<u32>(v)); });
+        a, b, c, sites, m, n, k, mods,
+        choose_int8_split(std::max(wa, 1), std::max(wb, 1), k));
 }
 
 const ModSiteMatMulFn &

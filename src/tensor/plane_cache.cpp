@@ -8,6 +8,7 @@
 #include "common/mutex.h"
 #include "common/static_operand.h"
 #include "obs/obs.h"
+#include "rns/modulus.h"
 
 namespace neo {
 
@@ -85,7 +86,9 @@ entry_bytes(int)
 size_t
 entry_bytes(const PlaneCache::Pow2Ptr &p)
 {
-    return p == nullptr ? 0 : p->size() * sizeof(u64);
+    return p == nullptr
+               ? 0
+               : (p->w.size() + p->w_shoup.size()) * sizeof(u64);
 }
 
 /// Publish the resident-size gauges (call after any mutation).
@@ -308,12 +311,15 @@ PlaneCache::pow2(const SplitPlan &plan, u64 q_value)
         if (it != impl_->pow2.end())
             return it->second;
     }
-    auto built = std::make_shared<std::vector<u64>>(
-        static_cast<size_t>(plan.a_planes) * plan.b_planes);
+    auto built = std::make_shared<Pow2Table>();
     for (int pa = 0; pa < plan.a_planes; ++pa)
-        for (int pb = 0; pb < plan.b_planes; ++pb)
-            (*built)[static_cast<size_t>(pa) * plan.b_planes + pb] = pow_mod(
+        for (int pb = 0; pb < plan.b_planes; ++pb) {
+            const u64 w = pow_mod(
                 2, pa * plan.a_plane_bits + pb * plan.b_plane_bits, q_value);
+            built->w.push_back(w);
+            built->w_shoup.push_back(shoup_precompute(w, q_value));
+        }
+    built->lazy_terms = (1ULL << 63) / q_value;
     if (!enabled())
         return built;
     WriterLock lock(impl_->mu);

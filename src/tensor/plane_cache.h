@@ -5,7 +5,8 @@
  *
  * Every sliced GEMM re-derives two invariant artefacts per call: the
  * plane decomposition of each operand (slice_to_f64 / slice_to_i32 —
- * a full pass over the matrix) and the 2^shift mod q recombine table.
+ * a full pass over the matrix) and the 2^shift mod q recombine table
+ * with its Shoup companions.
  * For the operands that never change between calls — BConv factor
  * matrices, NTT twiddle matrices, evaluation-key blocks — that work is
  * pure waste. The cache stores the derived forms once and serves them
@@ -43,7 +44,16 @@ class PlaneCache
   public:
     using F64Ptr = std::shared_ptr<const std::vector<double>>;
     using I32Ptr = std::shared_ptr<const std::vector<i32>>;
-    using Pow2Ptr = std::shared_ptr<const std::vector<u64>>;
+    /// Recombine weights 2^shift mod q, row-major in (pa, pb), with
+    /// their Shoup companions for division-free mul_shoup. Pair (0, 0)
+    /// has shift 0: w[0] = 1, and w_shoup[0] reduces any 64-bit value.
+    struct Pow2Table
+    {
+        std::vector<u64> w, w_shoup;
+        /// How many values below 2q a u64 sum can hold: ⌊2^63 / q⌋.
+        u64 lazy_terms = 0;
+    };
+    using Pow2Ptr = std::shared_ptr<const Pow2Table>;
 
     /// The process-wide cache.
     static PlaneCache &global();
@@ -68,8 +78,8 @@ class PlaneCache
 
     /**
      * The a_planes×b_planes table of 2^(pa·a_bits + pb·b_bits) mod q,
-     * row-major in (pa, pb). Always cached (keyed by plan shape and
-     * modulus value, not by data).
+     * row-major in (pa, pb), plus Shoup companions. Always cached
+     * (keyed by plan shape and modulus value, not by data).
      */
     Pow2Ptr pow2(const SplitPlan &plan, u64 q_value);
 

@@ -194,8 +194,9 @@ TEST(Concurrency, KeySwitchPrecompLazyBuildRace)
             const auto &lv = pre.level(l);
             EXPECT_EQ(lv.active.size(), l + 1);
             const KeySwitchPrecomp::Level *expect = nullptr;
-            if (!seen[l].compare_exchange_strong(expect, &lv))
+            if (!seen[l].compare_exchange_strong(expect, &lv)) {
                 EXPECT_EQ(expect, &lv);
+            }
         }
     });
 }

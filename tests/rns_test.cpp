@@ -114,14 +114,27 @@ TEST(Modulus, BarrettReduce128Range)
 
 TEST(Modulus, ShoupMultiplication)
 {
-    auto primes = generate_ntt_primes(60, 1, 1 << 10);
-    Modulus q(primes[0]);
+    // The sliced GEMMs feed raw plane sums and lazy partial sums into
+    // mul_shoup: it must be exact for every 64-bit a, not just a < q,
+    // and mul_shoup_lazy must stay congruent and below 2q.
     Rng rng(2);
-    for (int i = 0; i < 500; ++i) {
-        u64 w = rng.uniform(q.value());
-        u64 ws = shoup_precompute(w, q.value());
-        u64 a = rng.uniform(q.value());
-        EXPECT_EQ(mul_shoup(a, w, ws, q.value()), q.mul(a, w));
+    for (int bits : {30, 36, 40, 48, 52, 56, 60, 61, 62, 63}) {
+        Modulus q(generate_ntt_primes(bits, 1, 1 << 10)[0]);
+        const u64 qv = q.value();
+        for (int i = 0; i < 500; ++i) {
+            const u64 w = i == 0 ? 1 : i == 1 ? qv - 1 : rng.uniform(qv);
+            u64 a = i % 2 ? rng.uniform(qv) : rng.next();
+            if (i < 4)
+                a = ~0ULL - static_cast<u64>(i);
+            const u64 ws = shoup_precompute(w, qv);
+            const u64 want =
+                static_cast<u64>(static_cast<u128>(a) * w % qv);
+            EXPECT_EQ(mul_shoup(a, w, ws, qv), want)
+                << bits << " a=" << a << " w=" << w;
+            const u64 lazy = mul_shoup_lazy(a, w, ws, qv);
+            EXPECT_LT(lazy, 2 * qv) << bits;
+            EXPECT_EQ(lazy % qv, want) << bits;
+        }
     }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/random.h"
 #include "poly/matrix_ntt.h"
 #include "rns/primes.h"
@@ -100,8 +102,10 @@ TEST_P(SlicedGemmTest, Int8PathBitExactAgainstScalar)
     EXPECT_EQ(got, ref);
 }
 
+// 62 bits: lazily summed recombination with intermediate reductions;
+// 63 bits: moduli above 2^62, recombined term by term.
 INSTANTIATE_TEST_SUITE_P(WordSizes, SlicedGemmTest,
-                         ::testing::Values(30, 36, 48, 60));
+                         ::testing::Values(30, 36, 48, 60, 62, 63));
 
 TEST(SlicedGemm, MaximalOperandsStayExact)
 {
@@ -131,6 +135,51 @@ TEST(SlicedGemm, OddShapes)
         scalar_mod_matmul(a.data(), b.data(), ref.data(), m, n, k, q);
         fp64_sliced_matmul(a.data(), b.data(), got.data(), m, n, k, q);
         EXPECT_EQ(got, ref) << m << "x" << n << "x" << k;
+    }
+}
+
+TEST(SlicedGemm, SiteAndColumnEnginesMatchScalar)
+{
+    // Mixed moduli. With a 36-bit modulus alone every element is one
+    // lazy sum; with 62 bits in the mix (and no 63) the sum is reduced
+    // between lazy terms; a 63-bit modulus adds reduced terms. The
+    // site count leaves a partial group of the modulus cycle and spans
+    // several recombination tiles.
+    std::vector<Modulus> all;
+    for (int bits : {36, 48, 62, 63})
+        all.emplace_back(generate_ntt_primes(bits, 1, 1 << 10)[0]);
+    const u64 bound = all[0].value();
+    Rng rng(11);
+    for (auto [first, count] : {std::pair<size_t, size_t>{0, 1},
+                                {0, 3},
+                                {1, 3}}) {
+        const std::vector<Modulus> mods(all.begin() + first,
+                                        all.begin() + first + count);
+        const size_t sites = 203, m = 2, n = 3, k = 4;
+        auto a = rng.uniform_vec(sites * m * k, bound);
+        auto b = rng.uniform_vec(sites * k * n, bound);
+        std::vector<u64> ref(sites * m * n), got(sites * m * n);
+        scalar_matmul_sites(a.data(), b.data(), ref.data(), sites, m, n,
+                            k, mods);
+        fp64_sliced_matmul_sites(a.data(), b.data(), got.data(), sites, m,
+                                 n, k, mods);
+        EXPECT_EQ(got, ref) << "fp64 sites " << first << "+" << count;
+        int8_sliced_matmul_sites(a.data(), b.data(), got.data(), sites, m,
+                                 n, k, mods);
+        EXPECT_EQ(got, ref) << "int8 sites " << first << "+" << count;
+
+        const size_t rows = 70;
+        auto ca = rng.uniform_vec(rows * k, bound);
+        auto cb = rng.uniform_vec(k * count, bound);
+        std::vector<u64> cref(rows * count), cgot(rows * count);
+        scalar_matmul_cols(ca.data(), cb.data(), cref.data(), rows, count,
+                           k, mods);
+        fp64_sliced_matmul_cols(ca.data(), cb.data(), cgot.data(), rows,
+                                count, k, mods);
+        EXPECT_EQ(cgot, cref) << "fp64 cols " << first << "+" << count;
+        int8_sliced_matmul_cols(ca.data(), cb.data(), cgot.data(), rows,
+                                count, k, mods);
+        EXPECT_EQ(cgot, cref) << "int8 cols " << first << "+" << count;
     }
 }
 
