@@ -34,6 +34,12 @@ CkksContext::CkksContext(const CkksParams &params)
     : params_(params), encoder_(params.n)
 {
     params_.validate();
+    // validate() admits WordSize_T = 64 so the cost model can price
+    // paper Set D; a functional context needs T primes below 2^63.
+    NEO_CHECK(!params_.klss.enabled() || params_.klss.word_size_t <= 63,
+              "functional KLSS contexts need WordSize_T <= 63 (T primes "
+              "must be below 2^63); WordSize_T = 64 (paper Set D) is "
+              "model-only");
     const size_t n = params_.n;
     const size_t levels = params_.max_level + 1;
     const size_t k_special = params_.special_primes();

@@ -121,15 +121,14 @@ struct KlssEvalKey
     }
 
     /// Flattened, reordered IP key tensors for one level — the exact
-    /// B-operand layout the pipeline's IpKernel consumes. Pinned as
-    /// static operands so the GEMM plane cache may slice them once.
+    /// B-operand layout the pipeline's IpKernel consumes. Static
+    /// operands, so each keeps its GEMM planes for the key's lifetime.
     struct IpOperands
     {
         size_t beta = 0;       ///< ciphertext digits at this level
         size_t beta_tilde = 0; ///< key digits at this level
         /// reordered[c]: [k][l][i][j] over (T limb, coeff, i, j).
-        std::array<std::vector<u64>, 2> reordered;
-        std::array<StaticPin, 2> pins;
+        std::array<StaticOperand, 2> reordered;
     };
 
     detail::PerLevelCache<IpOperands> &

@@ -5,13 +5,13 @@
  * Neo's core invariant — bit-identical results at any thread/device
  * count — is enforced dynamically by the TSan legs and the determinism
  * suites, and *statically* by these annotations: every shared-state
- * module (ThreadPool, PlaneCache, KeySwitchPrecomp, StaticOperands,
- * obs::Registry, pipeline kernel caches) declares which capability
- * (lock) guards which member, and the clang `-Wthread-safety
- * -Wthread-safety-beta -Werror` CI leg rejects any access that the
- * analysis cannot prove is protected. Under gcc (or any non-clang
- * compiler) every macro expands to nothing, so the annotations are
- * free documentation.
+ * module (ThreadPool, StaticOperand plane memos, the pow2 table memo,
+ * KeySwitchPrecomp, obs::Registry, pipeline kernel caches) declares
+ * which capability (lock) guards which member, and the clang
+ * `-Wthread-safety -Wthread-safety-beta -Werror` CI leg rejects any
+ * access that the analysis cannot prove is protected. Under gcc (or
+ * any non-clang compiler) every macro expands to nothing, so the
+ * annotations are free documentation.
  *
  * Conventions (see DESIGN.md "Thread-safety annotations & determinism
  * rules" for the full write-up):

@@ -1,104 +1,113 @@
 /**
  * @file
- * Registry of long-lived ("static") GEMM operands.
+ * Long-lived ("static") GEMM operands, and the B-operand handle the
+ * GEMM engines take.
  *
- * The hot-path caches (tensor/plane_cache.h) may precompute derived
- * forms of an operand — bit-sliced FP64/INT8 planes, pow2 recombine
- * tables, bit-width scans — but only when the operand's storage is
- * guaranteed stable and its contents immutable for the lifetime of the
- * cache entry. Owners of such operands (BConv factor matrices, NTT
- * twiddle matrices, evaluation-key buffers) declare that guarantee by
- * *pinning* the byte range here, normally through the RAII StaticPin.
+ * Neo's TCU mapping multiplies a few fixed matrices again and again:
+ * the NTT twiddle matrices, the BConv factor matrices and the
+ * reordered KLSS key tensors. The sliced engines (tensor/gemm.h)
+ * decompose every operand into FP64/INT8 planes before multiplying;
+ * for a fixed matrix that decomposition is the same on every call. A
+ * StaticOperand owns such a matrix's values together with the forms
+ * derived from them, so each form is built once and dies with the
+ * values it came from. The owner is the identity: nothing is keyed by
+ * address, so there is nothing to invalidate when memory is reused.
  *
- * Every pin carries a monotonically increasing generation id. Cache
- * entries record the generation they were built under; when a range is
- * unpinned and later re-pinned (e.g. the allocator reuses the address
- * for a new object), the generation changes and stale entries miss
- * instead of returning another object's data. Lookups on unpinned
- * addresses return generation 0, so transient operands are never
- * cached.
- *
- * This registry lives in common/ (below both poly/ and tensor/) so any
- * layer can pin without creating dependency cycles; only the cache
- * itself needs the tensor layer.
+ * This header lives in common/ (below poly/ and tensor/) so owners in
+ * any layer can hold one; the derived forms are the tensor layer's.
  */
 #pragma once
 
-#include <cstddef>
+#include <array>
+#include <map>
+#include <memory>
+#include <vector>
 
+#include "common/math_util.h"
+#include "common/mutex.h"
 #include "common/types.h"
 
 namespace neo {
 
-class StaticOperands
+class StaticOperand
 {
   public:
-    /// The process-wide registry.
-    static StaticOperands &instance();
+    /// A form derived from the values (the tensor layer's planes).
+    struct Derived
+    {
+        virtual ~Derived() = default;
+    };
+    /// Memo key of a derived form: (element type, planes, plane bits).
+    using Key = std::array<int, 3>;
+
+    StaticOperand() = default;
+
+    explicit StaticOperand(std::vector<u64> values)
+        : values_(std::move(values)), bits_(width(values_))
+    {
+    }
+
+    /// Moves the values with their derived forms. Not copyable: a copy
+    /// would slice the same values again.
+    StaticOperand(StaticOperand &&o) noexcept
+        : values_(std::move(o.values_)), bits_(o.bits_)
+    {
+        LockGuard lock(o.mu_);
+        memo_ = std::move(o.memo_);
+    }
+
+    const u64 *data() const { return values_.data(); }
+    size_t size() const { return values_.size(); }
+    u64 operator[](size_t i) const { return values_[i]; }
+    /// Bit width of the largest value.
+    int bits() const { return bits_; }
 
     /**
-     * Declare [p, p+bytes) stable and immutable until unpin(p).
-     * Returns the generation id of the new pin. Re-pinning a live
-     * range replaces it under a fresh generation.
+     * The derived form under @p key, made by @p make on first use. The
+     * lookup and the build share one lock, so concurrent first uses
+     * build once and every caller sees the same storage, which lives
+     * exactly as long as this operand.
      */
-    u64 pin(const void *p, size_t bytes);
-
-    /// Remove the pin starting at @p p (no-op if absent or null).
-    void unpin(const void *p);
-
-    /**
-     * Generation of the pinned range *containing* @p p (interior
-     * pointers resolve to their enclosing pin), or 0 when no pin
-     * covers it. The containment rule lets a cache key on a slice of a
-     * larger pinned buffer (e.g. one site of a reordered key tensor).
-     */
-    u64 generation(const void *p) const;
-
-    /// Live pin count — a zero fast-path for cache lookups.
-    size_t pins() const;
-};
-
-/**
- * RAII pin: registers the range on construction, unpins on
- * destruction. Movable (the moved-from handle becomes empty) so owners
- * can live in containers; not copyable.
- */
-class StaticPin
-{
-  public:
-    StaticPin() = default;
-    StaticPin(const void *p, size_t bytes)
-        : ptr_(bytes > 0 ? p : nullptr)
+    template <class Make>
+    const Derived &
+    derived(const Key &key, Make &&make) const
     {
-        if (ptr_ != nullptr)
-            StaticOperands::instance().pin(ptr_, bytes);
-    }
-    ~StaticPin() { reset(); }
-    StaticPin(StaticPin &&o) noexcept : ptr_(o.ptr_) { o.ptr_ = nullptr; }
-    StaticPin &
-    operator=(StaticPin &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            ptr_ = o.ptr_;
-            o.ptr_ = nullptr;
-        }
-        return *this;
-    }
-    StaticPin(const StaticPin &) = delete;
-    StaticPin &operator=(const StaticPin &) = delete;
-
-    void
-    reset()
-    {
-        if (ptr_ != nullptr) {
-            StaticOperands::instance().unpin(ptr_);
-            ptr_ = nullptr;
-        }
+        LockGuard lock(mu_);
+        std::unique_ptr<Derived> &slot = memo_[key];
+        if (slot == nullptr)
+            slot = make();
+        return *slot;
     }
 
   private:
-    const void *ptr_ = nullptr;
+    static int
+    width(const std::vector<u64> &values)
+    {
+        u64 m = 0;
+        for (u64 v : values)
+            m |= v;
+        return bit_size(m);
+    }
+
+    std::vector<u64> values_;
+    const int bits_ = 0;
+    mutable Mutex mu_;
+    mutable std::map<Key, std::unique_ptr<Derived>> memo_ NEO_GUARDED_BY(mu_);
+};
+
+/**
+ * The B operand of a GEMM engine (poly/mat_mul.h, tensor/gemm.h): the
+ * values, plus their owner when B is static so the sliced engines can
+ * reuse its planes. Converts implicitly from a raw pointer (no memo)
+ * and from an owner, so call sites pass either.
+ */
+struct OperandRef
+{
+    OperandRef(const u64 *p) : data(p) {}
+    OperandRef(const StaticOperand &o) : data(o.data()), owner(&o) {}
+
+    const u64 *data;
+    const StaticOperand *owner = nullptr;
 };
 
 } // namespace neo

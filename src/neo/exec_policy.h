@@ -61,10 +61,6 @@ struct SiteKey
     size_t d_num = 0;       ///< gadget digit count of the parameter set
     size_t n = 0;           ///< polynomial degree N
     double valid = 0;       ///< FP64 fragment valid proportion (§4.5.3)
-    /// Devices the run shards over (1 = single device). Tuning-table
-    /// entries may pin a decision to a device count; device-agnostic
-    /// entries match any.
-    size_t devices = 1;
 };
 
 /// Per-site engine resolver an autotune policy dispatches through.

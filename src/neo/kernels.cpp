@@ -47,19 +47,25 @@ note_ip(size_t beta, size_t beta_tilde, size_t ap, size_t batch, size_t n)
     }
 }
 
+/// The α × α' factor matrix (B/b_i) mod t_j, row-major.
+std::vector<u64>
+factor_values(const BaseConverter &conv)
+{
+    const size_t a = conv.from().size();
+    const size_t ap = conv.to().size();
+    std::vector<u64> f(a * ap);
+    for (size_t i = 0; i < a; ++i)
+        for (size_t j = 0; j < ap; ++j)
+            f[i * ap + j] = conv.factor(i, j);
+    return f;
+}
+
 } // namespace
 
 BConvKernel::BConvKernel(const RnsBasis &from, const RnsBasis &to)
-    : conv_(from, to)
+    : conv_(from, to), factor_matrix_(factor_values(conv_))
 {
-    const size_t a = from.size();
     const size_t ap = to.size();
-    factor_matrix_.resize(a * ap);
-    for (size_t i = 0; i < a; ++i)
-        for (size_t j = 0; j < ap; ++j)
-            factor_matrix_[i * ap + j] = conv_.factor(i, j);
-    factor_pin_ = StaticPin(factor_matrix_.data(),
-                            factor_matrix_.size() * sizeof(u64));
     product_shoup_.resize(ap);
     for (size_t j = 0; j < ap; ++j)
         product_shoup_[j] = shoup_precompute(conv_.product_mod_to(j),
@@ -171,7 +177,7 @@ BConvKernel::matmul_common(const u64 *in, size_t batch, size_t n, u64 *out,
     // Step 2: one (N·BS) × α' × α GEMM against the factor matrix,
     // reduced per output column's modulus.
     u64 *prod = frame.alloc<u64>(n * batch * ap);
-    mm(reordered, factor_matrix_.data(), prod, n * batch, ap, a,
+    mm(reordered, factor_matrix_, prod, n * batch, ap, a,
        conv_.to().mods());
 
     // Exact epilogue: subtract r·B mod t_j per row (rank-1 update);
@@ -252,7 +258,7 @@ IpKernel::run_matmul(const u64 *limbs, const u64 *keys, size_t batch,
 }
 
 void
-IpKernel::run_matmul_reordered(const u64 *limbs, const u64 *keys_r,
+IpKernel::run_matmul_reordered(const u64 *limbs, OperandRef keys_r,
                                size_t batch, size_t n, u64 *out,
                                const ModSiteMatMulFn &mm) const
 {
@@ -262,7 +268,7 @@ IpKernel::run_matmul_reordered(const u64 *limbs, const u64 *keys_r,
 }
 
 void
-IpKernel::matmul_impl(const u64 *limbs, const u64 *keys_r, size_t batch,
+IpKernel::matmul_impl(const u64 *limbs, OperandRef keys_r, size_t batch,
                       size_t n, u64 *out, const ModSiteMatMulFn &mm) const
 {
     const size_t ap = t_mods_.size();

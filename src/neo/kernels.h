@@ -64,12 +64,10 @@ class BConvKernel
                        const ModColMatMulFn &mm, bool exact) const;
 
     BaseConverter conv_;
-    std::vector<u64> factor_matrix_; // α × α': (B/b_i) mod t_j
-    // The factor matrix is the static B operand of every BConv GEMM;
-    // pinning it lets the tensor layer's plane cache slice it once per
-    // (kernel, engine). Makes the kernel move-only (vector moves keep
-    // the heap buffer, so the pin stays valid).
-    StaticPin factor_pin_;
+    // α × α': (B/b_i) mod t_j. The static B operand of every BConv
+    // GEMM, so it keeps its planes once sliced per engine; that makes
+    // the kernel move-only.
+    StaticOperand factor_matrix_;
     // Shoup companions of B mod t_j, for the exact-mode epilogue.
     std::vector<u64> product_shoup_;
 };
@@ -103,16 +101,17 @@ class IpKernel
     /**
      * Algorithm 4 with the key tensor already in the Fig 8 layout
      * (β̃×β×α'×N reversed to N×α'×β×β̃). Key material is static per
-     * (key, level), so callers cache the reorder — and pin the buffer
-     * as a static operand — instead of paying it on every keyswitch.
+     * (key, level), so callers keep the reorder — as a StaticOperand,
+     * which also keeps its planes — instead of paying it on every
+     * keyswitch.
      */
-    void run_matmul_reordered(const u64 *limbs, const u64 *keys_r,
+    void run_matmul_reordered(const u64 *limbs, OperandRef keys_r,
                               size_t batch, size_t n, u64 *out,
                               const ModSiteMatMulFn &mm =
                                   scalar_site_matmul()) const;
 
   private:
-    void matmul_impl(const u64 *limbs, const u64 *keys_r, size_t batch,
+    void matmul_impl(const u64 *limbs, OperandRef keys_r, size_t batch,
                      size_t n, u64 *out, const ModSiteMatMulFn &mm) const;
 
     std::vector<Modulus> t_mods_;

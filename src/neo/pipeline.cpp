@@ -10,7 +10,6 @@
 #include "ckks/ks_precomp.h"
 #include "common/check.h"
 #include "common/mutex.h"
-#include "common/static_operand.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
 #include "gpusim/memory_model.h"
@@ -36,8 +35,8 @@ namespace {
  * call — a MatrixNtt construction fills two twiddle matrices and a
  * BConvKernel construction is O(α·α') modular exponentiations, which
  * together dominated small-ring pipeline runs. Cached MatrixNtt and
- * BConvKernel instances also pin their static GEMM operands, so the
- * tensor layer's plane cache can reuse bit-sliced forms across calls.
+ * BConvKernel instances also own their static GEMM operands, so the
+ * bit-sliced planes built on first use are reused across calls.
  */
 struct LevelKernels
 {
@@ -83,7 +82,7 @@ struct PipelineCache
  * address — a context reallocated at a freed context's address must
  * not see its predecessor's kernels). Bounded to a small working set;
  * eviction is safe because callers hold a shared_ptr for the duration
- * of the call and all pinned operands release via RAII.
+ * of the call, and an evicted cache's planes die with its kernels.
  */
 // Magic-static registry guarded by the function-local reg_mu — a
 // documented NEO_NO_THREAD_SAFETY_ANALYSIS exception (the attribute
@@ -310,14 +309,11 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
     stage_span.emplace("pipeline_ip", obs::cat::stage);
     IpKernel ip(ctx.t_basis().mods(), beta, beta_tilde);
     // Key material is static per (key, level): flatten each component
-    // to β̃ × β × α' × N, reorder once into the Fig 8 GEMM layout and
-    // pin the result so the plane cache can keep its sliced form.
+    // to β̃ × β × α' × N and reorder once into the Fig 8 GEMM layout, a
+    // static operand that keeps its sliced planes with the key.
     const auto &key_ops = evk.ip_operands().get(level, [&] {
-        KlssEvalKey::IpOperands ops;
-        ops.beta = beta;
-        ops.beta_tilde = beta_tilde;
         std::vector<u64> keys(beta_tilde * beta * alpha_p * n);
-        for (size_t c = 0; c < 2; ++c) {
+        const auto reordered = [&](size_t c) {
             for (size_t i = 0; i < beta_tilde; ++i) {
                 for (size_t j = 0; j < beta; ++j) {
                     const RnsPoly &part = evk.part(i, j, c);
@@ -325,21 +321,21 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
                               keys.begin() + (i * beta + j) * alpha_p * n);
                 }
             }
-            ops.reordered[c].resize(keys.size());
+            std::vector<u64> r(keys.size());
             reorder_4d_reverse(keys.data(), beta_tilde, beta, alpha_p, n,
-                               ops.reordered[c].data());
-            ops.pins[c] = StaticPin(ops.reordered[c].data(),
-                                    ops.reordered[c].size() * sizeof(u64));
-        }
-        return ops;
+                               r.data());
+            return StaticOperand(std::move(r));
+        };
+        return KlssEvalKey::IpOperands{beta, beta_tilde,
+                                       {reordered(0), reordered(1)}};
     });
     NEO_ASSERT(key_ops.beta == beta && key_ops.beta_tilde == beta_tilde,
                "cached IP operands shape mismatch");
     u64 *s_data[2];
     for (size_t c = 0; c < 2; ++c) {
         s_data[c] = frame.alloc<u64>(beta_tilde * alpha_p * n);
-        ip.run_matmul_reordered(digits_t, key_ops.reordered[c].data(), 1,
-                                n, s_data[c], *eng.ip);
+        ip.run_matmul_reordered(digits_t, key_ops.reordered[c], 1, n,
+                                s_data[c], *eng.ip);
         // --- INTT over T: one independent transform per (i, k) limb,
         // sharded by key digit (each device owns its β̃ rows).
         for (size_t dev = 0; dev < dev_count; ++dev) {
@@ -448,8 +444,7 @@ model_config(const ExecPolicy &policy, const ckks::CkksParams &params)
                 params.batch, params.beta_tilde(level),
                 params.beta(level));
             return EngineRegistry::model_engine(policy.engine_at(
-                {st, level, params.d_num, params.n, valid,
-                 policy.devices}));
+                {st, level, params.d_num, params.n, valid}));
         };
     }
     return cfg;
@@ -500,8 +495,7 @@ keyswitch_klss_pipeline(const RnsPoly &d2, const KlssEvalKey &evk,
     const double valid = gpusim::TcuModel::valid_proportion_fp64(
         pp.batch, pp.beta_tilde(level), pp.beta(level));
     const auto resolve = [&](const char *st) {
-        return policy.engine_at(
-            {st, level, pp.d_num, pp.n, valid, policy.devices});
+        return policy.engine_at({st, level, pp.d_num, pp.n, valid});
     };
     // The six engine-dispatched sites of the KLSS pipeline. A fixed
     // policy resolves them all to policy.engine; an autotune policy

@@ -8,9 +8,10 @@
 namespace neo {
 
 void
-scalar_mod_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+scalar_mod_matmul(const u64 *a, OperandRef b_op, u64 *c, size_t m, size_t n,
                   size_t k, const Modulus &q)
 {
+    const u64 *b = b_op.data;
     obs::Span span("scalar_gemm", obs::cat::gemm);
     if (auto *r = obs::current())
         r->add_gemm(m, n, k);

@@ -15,20 +15,21 @@
 #include <cstddef>
 #include <functional>
 
+#include "common/static_operand.h"
 #include "rns/modulus.h"
 
 namespace neo {
 
 /**
  * C = A · B (mod q); A is M×K, B is K×N, C is M×N, all row-major,
- * entries reduced mod q.
+ * entries reduced mod q. B is a raw pointer or a whole StaticOperand.
  */
 using ModMatMulFn =
-    std::function<void(const u64 *a, const u64 *b, u64 *c, size_t m,
+    std::function<void(const u64 *a, OperandRef b, u64 *c, size_t m,
                        size_t n, size_t k, const Modulus &q)>;
 
 /// Reference triple-loop implementation with 128-bit accumulation.
-void scalar_mod_matmul(const u64 *a, const u64 *b, u64 *c, size_t m,
+void scalar_mod_matmul(const u64 *a, OperandRef b, u64 *c, size_t m,
                        size_t n, size_t k, const Modulus &q);
 
 /// The default ModMatMulFn wrapping scalar_mod_matmul.

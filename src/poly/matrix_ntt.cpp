@@ -16,16 +16,15 @@ MatrixNtt::MatrixNtt(const NttTables &tables, size_t radix)
     NEO_CHECK(is_pow2(radix) && radix >= 2, "radix must be a power of two");
     NEO_CHECK(radix <= tables.n(), "radix exceeds transform length");
     const int log_radix = log2_exact(radix);
-    w_fwd_.resize(log_radix + 1);
-    w_inv_.resize(log_radix + 1);
+    w_fwd_.reserve(log_radix + 1);
+    w_inv_.reserve(log_radix + 1);
+    w_fwd_.emplace_back();
+    w_inv_.emplace_back();
     const size_t nfull = tables_.n();
     for (int lg = 1; lg <= log_radix; ++lg) {
         const size_t len = 1ULL << lg;
         const size_t step = nfull / len;
-        auto &wf = w_fwd_[lg];
-        auto &wi = w_inv_[lg];
-        wf.resize(len * len);
-        wi.resize(len * len);
+        std::vector<u64> wf(len * len), wi(len * len);
         for (size_t c = 0; c < len; ++c) {
             for (size_t k = 0; k < len; ++k) {
                 size_t e = (c * k % len) * step;
@@ -33,12 +32,12 @@ MatrixNtt::MatrixNtt(const NttTables &tables, size_t radix)
                 wi[c * len + k] = tables_.omega_inv_pow(e);
             }
         }
-        pins_.emplace_back(wf.data(), wf.size() * sizeof(u64));
-        pins_.emplace_back(wi.data(), wi.size() * sizeof(u64));
+        w_fwd_.emplace_back(std::move(wf));
+        w_inv_.emplace_back(std::move(wi));
     }
 }
 
-const std::vector<u64> &
+const StaticOperand &
 MatrixNtt::twiddle_matrix(size_t len, bool inverse) const
 {
     const int lg = log2_exact(len);
@@ -57,7 +56,7 @@ MatrixNtt::cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
         // Base case: one (rows × len) · (len × len) matrix product.
         const auto &w = twiddle_matrix(len, inverse);
         u64 *out = frame.alloc<u64>(rows * len);
-        mm(a, w.data(), out, rows, len, len, q);
+        mm(a, w, out, rows, len, len, q);
         std::copy(out, out + rows * len, a);
         return;
     }
@@ -132,10 +131,10 @@ MatrixNtt::cyclic_batch(u64 *a, size_t rows, size_t len, bool inverse,
 
     // Step 4: the n1×n1 twiddle matrix W is symmetric, so
     // W·A = (Aᵀ·W)ᵀ: one (rows·n2 × n1) · (n1 × n1) GEMM with W as the
-    // (pinned) right operand. `at` is dead after step 3 and takes the
+    // static right operand. `at` is dead after step 3 and takes the
     // product.
     u64 *out = at;
-    mm(tw, w1.data(), out, units, n1, n1, q);
+    mm(tw, w1, out, units, n1, n1, q);
 
     // Rows land in natural order: X_row[k1·n2 + k2] = out[row][k2][k1].
     // At the fused inverse top level the n⁻¹·ψ⁻¹ scaling rides in the

@@ -19,8 +19,8 @@
  * sub-rows, and runs its twiddle product as one GEMM over all rows. The
  * twiddle matrix is symmetric, so W·A = (Aᵀ·W)ᵀ: step 3 writes the
  * twisted matrix transposed and step 4 is a (rows·n2 × n1) · (n1 × n1)
- * product with W always on the right, where the sliced engines cache
- * its planes. A length-n transform therefore makes exactly
+ * product with W always on the right, a StaticOperand that keeps its
+ * sliced planes. A length-n transform therefore makes exactly
  * complexity().matmul_stages engine calls.
  *
  * radix = n1 = √n  reproduces the classic four-step NTT; radix = 16
@@ -101,21 +101,18 @@ class MatrixNtt
                       TopTwist top = TopTwist::none) const;
 
     /// Twiddle matrix W[c][k] = ω_len^{ck} (or inverse) for len ≤ radix.
-    const std::vector<u64> &twiddle_matrix(size_t len, bool inverse) const;
+    const StaticOperand &twiddle_matrix(size_t len, bool inverse) const;
 
     static void accumulate(Complexity &c, size_t rows, size_t len,
                            size_t radix);
 
     const NttTables &tables_;
     size_t radix_;
-    // Precomputed twiddle matrices for all lengths 2..radix (powers of
-    // two), forward and inverse.
-    mutable std::vector<std::vector<u64>> w_fwd_, w_inv_;
-    // The twiddle matrices are static GEMM operands: pinning them lets
-    // the sliced engines cache their plane decompositions. Makes the
-    // class move-only (moving a vector keeps its heap buffer, so pins
-    // survive moves).
-    std::vector<StaticPin> pins_;
+    // Twiddle matrices for all lengths 2..radix (powers of two),
+    // forward and inverse, indexed by log2(len). They are the static B
+    // operand of every matmul stage, so each keeps its own planes; that
+    // makes the class move-only.
+    std::vector<StaticOperand> w_fwd_, w_inv_;
 };
 
 } // namespace neo

@@ -141,12 +141,7 @@ profile_keyswitch(const ExecPolicy &policy, size_t level, size_t repeat)
     r.wall_s = run_once();
 
     // Snapshot the counters before any extra sample runs inflate them.
-    // gemm.plane_cache.evict stays out of the gate-able set: evictions
-    // fire on heap-address reuse across pin generations, which the
-    // allocator does not reproduce run to run.
     for (const auto &[name, count] : scope.registry().counters()) {
-        if (name == "gemm.plane_cache.evict")
-            continue;
         if (name.rfind("span.", 0) == 0 || name == "gemm.calls" ||
             name == "pipeline.keyswitch" ||
             name.rfind("gemm.plane_cache.", 0) == 0 ||

@@ -1,17 +1,20 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <type_traits>
 #include <vector>
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "common/mutex.h"
+#include "common/static_operand.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
 #include "obs/obs.h"
-#include "tensor/plane_cache.h"
 
 namespace neo {
 
@@ -244,43 +247,137 @@ plane_gemm_rows(const T *am, const T *bm, T *prod, size_t m, size_t n,
     }
 }
 
-template <class T>
-using PlanesPtr = std::shared_ptr<const std::vector<T>>;
+/**
+ * Process totals of the memoised derived data — plane sets of static
+ * operands and pow2 tables — published as the `plane_cache.*` gauges on
+ * every change. Constant-initialised, so it outlives every owner that
+ * is destroyed during exit.
+ */
+struct Resident
+{
+    Mutex mu;
+    i64 bytes NEO_GUARDED_BY(mu) = 0;
+    i64 entries NEO_GUARDED_BY(mu) = 0;
+};
+constinit Resident g_resident;
 
-/// Operand planes: cache hit for pinned operands, workspace slice
-/// otherwise. The returned pointer is valid for the caller's Frame
-/// lifetime (`keep` holds cached planes alive).
+void
+note_resident(i64 bytes, i64 entries)
+{
+    LockGuard lock(g_resident.mu);
+    g_resident.bytes += bytes;
+    g_resident.entries += entries;
+    obs::set_gauge("plane_cache.resident_bytes",
+                   static_cast<double>(g_resident.bytes));
+    obs::set_gauge("plane_cache.entries",
+                   static_cast<double>(g_resident.entries));
+}
+
+/// The planes of a static operand, kept (and counted resident) for
+/// exactly the owner's lifetime.
+template <class T>
+struct PlaneSet final : StaticOperand::Derived
+{
+    PlaneSet(const u64 *p, size_t count, int planes, int plane_bits)
+        : v(static_cast<size_t>(planes) * count)
+    {
+        if constexpr (std::is_same_v<T, double>)
+            slice_to_f64(p, count, planes, plane_bits, v.data());
+        else
+            slice_to_i32(p, count, planes, plane_bits, v.data());
+        note_resident(bytes(), 1);
+    }
+    ~PlaneSet() override { note_resident(-bytes(), -1); }
+
+    i64 bytes() const { return static_cast<i64>(v.size() * sizeof(T)); }
+
+    std::vector<T> v;
+};
+
+/// Planes of an operand of @p count words: the owner's memoised set
+/// when it has one (a `gemm.plane_cache` hit or miss), else a fresh
+/// slice valid for @p frame's lifetime.
 template <class T>
 const T *
-operand_planes(const u64 *p, size_t count, int planes, int plane_bits,
-               Workspace::Frame &frame, PlanesPtr<T> &keep)
+operand_planes(OperandRef op, size_t count, int planes, int plane_bits,
+               Workspace::Frame &frame)
 {
-    constexpr bool f64 = std::is_same_v<T, double>;
-    PlaneCache &cache = PlaneCache::global();
-    if constexpr (f64)
-        keep = cache.f64_planes(p, count, planes, plane_bits);
-    else
-        keep = cache.i32_planes(p, count, planes, plane_bits);
-    if (keep != nullptr)
-        return keep->data();
+    if (op.owner != nullptr) {
+        NEO_ASSERT(op.owner->size() == count,
+                   "a static operand is passed whole");
+        bool built = false;
+        const StaticOperand::Key key{std::is_same_v<T, double> ? 0 : 1,
+                                     planes, plane_bits};
+        const auto &set = op.owner->derived(key, [&] {
+            built = true;
+            return std::make_unique<PlaneSet<T>>(op.data, count, planes,
+                                                 plane_bits);
+        });
+        if (auto *r = obs::current())
+            r->add(built ? "gemm.plane_cache.miss" : "gemm.plane_cache.hit");
+        return static_cast<const PlaneSet<T> &>(set).v.data();
+    }
     T *buf = frame.alloc<T>(static_cast<size_t>(planes) * count);
-    if constexpr (f64)
-        slice_to_f64(p, count, planes, plane_bits, buf);
+    if constexpr (std::is_same_v<T, double>)
+        slice_to_f64(op.data, count, planes, plane_bits, buf);
     else
-        slice_to_i32(p, count, planes, plane_bits, buf);
+        slice_to_i32(op.data, count, planes, plane_bits, buf);
     return buf;
 }
 
 int
-operand_bits(const u64 *v, size_t count)
+operand_bits(OperandRef op, size_t count)
 {
-    const int cached = PlaneCache::global().width_bits(v, count);
-    if (cached >= 0)
-        return cached;
+    if (op.owner != nullptr)
+        return op.owner->bits();
     u64 m = 0;
     for (size_t i = 0; i < count; ++i)
-        m |= v[i];
+        m |= op.data[i];
     return bit_size(m);
+}
+
+/// Recombine weights 2^shift mod q, row-major in (pa, pb), with their
+/// Shoup companions for division-free mul_shoup. Pair (0, 0) has shift
+/// 0: w[0] = 1, and w_shoup[0] reduces any 64-bit value.
+struct Pow2Table
+{
+    std::vector<u64> w, w_shoup;
+    /// How many values below 2q a u64 sum can hold: ⌊2^63 / q⌋.
+    u64 lazy_terms = 0;
+};
+
+/// The pow2 table of (@p plan, @p q_value). Data-independent and tiny,
+/// so memoised for the process.
+const Pow2Table &
+pow2_table(const SplitPlan &plan, u64 q_value)
+{
+    struct Memo
+    {
+        Mutex mu;
+        std::map<std::array<u64, 5>, Pow2Table> tables NEO_GUARDED_BY(mu);
+    };
+    // Guarded by its own mutex. neo-lint: allow(thread-unsafe-static)
+    static Memo memo;
+    const std::array<u64, 5> key{
+        static_cast<u64>(plan.a_planes), static_cast<u64>(plan.a_plane_bits),
+        static_cast<u64>(plan.b_planes), static_cast<u64>(plan.b_plane_bits),
+        q_value};
+    LockGuard lock(memo.mu);
+    auto [it, inserted] = memo.tables.try_emplace(key);
+    Pow2Table &t = it->second;
+    if (inserted) {
+        for (int pa = 0; pa < plan.a_planes; ++pa)
+            for (int pb = 0; pb < plan.b_planes; ++pb) {
+                const u64 w = pow_mod(
+                    2, pa * plan.a_plane_bits + pb * plan.b_plane_bits,
+                    q_value);
+                t.w.push_back(w);
+                t.w_shoup.push_back(shoup_precompute(w, q_value));
+            }
+        t.lazy_terms = (1ULL << 63) / q_value;
+        note_resident(static_cast<i64>(2 * t.w.size() * sizeof(u64)), 1);
+    }
+    return t;
 }
 
 /// A plane-product sum as the integer it holds exactly: FP64 sums stay
@@ -322,11 +419,11 @@ column_weights(Workspace::Frame &frame, const SplitPlan &plan, size_t n,
     u64 *w = frame.alloc<u64>(pairs * n);
     u64 *ws = frame.alloc<u64>(pairs * n);
     Weights wt{q, w, ws, ~0ULL};
-    PlaneCache::Pow2Ptr tab;
+    const Pow2Table *tab = nullptr;
     for (size_t j = 0; j < n; ++j) {
         q[j] = qcol(j);
         if (j == 0 || q[j] != q[j - 1])
-            tab = PlaneCache::global().pow2(plan, q[j]);
+            tab = &pow2_table(plan, q[j]);
         wt.lazy = std::min(wt.lazy, tab->lazy_terms);
         for (size_t pair = 0; pair < pairs; ++pair) {
             w[pair * n + j] = tab->w[pair];
@@ -396,9 +493,10 @@ constexpr size_t kMC = 32;
 
 /**
  * Shared skeleton of the single-GEMM sliced engines: slice both
- * operands (cached when pinned), then per tile of output rows run every
- * plane pair's GEMM and fold the products into C. Column j reduces
- * modulo mods[j · mod_stride] (stride 0: one modulus for every column).
+ * operands (B's planes memoised when it is static), then per tile of
+ * output rows run every plane pair's GEMM and fold the products into
+ * C. Column j reduces modulo mods[j · mod_stride] (stride 0: one
+ * modulus for every column).
  * Each output element accumulates its k-products inside one plane GEMM
  * (exact by plan construction) and its planes in exact modular
  * arithmetic inside one row tile, so the result is bit-identical for
@@ -406,16 +504,15 @@ constexpr size_t kMC = 32;
  */
 template <class T>
 void
-sliced_matmul_impl(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+sliced_matmul_impl(const u64 *a, OperandRef b, u64 *c, size_t m, size_t n,
                    size_t k, const SplitPlan &plan, const Modulus *mods,
                    size_t mod_stride)
 {
     Workspace::Frame frame;
-    PlanesPtr<T> keep_a, keep_b;
     const T *ap = operand_planes<T>(a, m * k, plan.a_planes,
-                                    plan.a_plane_bits, frame, keep_a);
+                                    plan.a_plane_bits, frame);
     const T *bp = operand_planes<T>(b, k * n, plan.b_planes,
-                                    plan.b_plane_bits, frame, keep_b);
+                                    plan.b_plane_bits, frame);
     const size_t pairs = static_cast<size_t>(plan.products());
     const Weights wt = column_weights(frame, plan, n, [&](size_t j) {
         return mods[j * mod_stride].value();
@@ -445,7 +542,7 @@ sliced_matmul_impl(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
 } // namespace
 
 void
-fp64_sliced_matmul_plan(const u64 *a, const u64 *b, u64 *c, size_t m,
+fp64_sliced_matmul_plan(const u64 *a, OperandRef b, u64 *c, size_t m,
                         size_t n, size_t k, const Modulus &q,
                         const SplitPlan &plan)
 {
@@ -455,7 +552,7 @@ fp64_sliced_matmul_plan(const u64 *a, const u64 *b, u64 *c, size_t m,
 }
 
 void
-fp64_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+fp64_sliced_matmul(const u64 *a, OperandRef b, u64 *c, size_t m, size_t n,
                    size_t k, const Modulus &q)
 {
     const SplitPlan plan = choose_fp64_split(q.bits(), q.bits(), k);
@@ -463,7 +560,7 @@ fp64_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
 }
 
 void
-int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+int8_sliced_matmul(const u64 *a, OperandRef b, u64 *c, size_t m, size_t n,
                    size_t k, const Modulus &q)
 {
     obs::Span span("int8_gemm", obs::cat::gemm);
@@ -474,7 +571,7 @@ int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
 }
 
 void
-scalar_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
+scalar_matmul_cols(const u64 *a, OperandRef b, u64 *c, size_t m, size_t n,
                    size_t k, const std::vector<Modulus> &col_mods)
 {
     obs::Span span("scalar_gemm_cols", obs::cat::gemm);
@@ -492,7 +589,7 @@ scalar_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
                     u128 acc = 0;
                     for (size_t t = 0; t < k; ++t)
                         acc += static_cast<u128>(a[i * k + t]) *
-                               b[t * n + j];
+                               b.data[t * n + j];
                     c[i * n + j] = col_mods[j].reduce128(acc);
                 }
             }
@@ -501,7 +598,7 @@ scalar_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m, size_t n,
 }
 
 void
-fp64_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
+fp64_sliced_matmul_cols(const u64 *a, OperandRef b, u64 *c, size_t m,
                         size_t n, size_t k,
                         const std::vector<Modulus> &col_mods)
 {
@@ -517,7 +614,7 @@ fp64_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
 }
 
 void
-int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
+int8_sliced_matmul_cols(const u64 *a, OperandRef b, u64 *c, size_t m,
                         size_t n, size_t k,
                         const std::vector<Modulus> &col_mods)
 {
@@ -533,7 +630,7 @@ int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
 }
 
 void
-scalar_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
+scalar_matmul_sites(const u64 *a, OperandRef b, u64 *c, size_t sites,
                     size_t m, size_t n, size_t k,
                     const std::vector<Modulus> &mods)
 {
@@ -547,7 +644,7 @@ scalar_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
             for (size_t s = sb; s < se; ++s) {
                 const Modulus &qm = mods[s % nmods];
                 const u64 *as = a + s * m * k;
-                const u64 *bs = b + s * k * n;
+                const u64 *bs = b.data + s * k * n;
                 u64 *cs = c + s * m * n;
                 for (size_t i = 0; i < m; ++i) {
                     for (size_t j = 0; j < n; ++j) {
@@ -572,8 +669,8 @@ namespace {
 
 /**
  * Shared skeleton of the sliced per-site GEMMs: decompose both full
- * tensors into planes once (one plane-cache entry per static operand
- * covering every site), then per site run the plane micro-GEMMs and
+ * tensors into planes once (a static B keeps one plane set covering
+ * every site), then per site run the plane micro-GEMMs and
  * recombine with the site's modulus. Site s reduces mod
  * mods[s mod nmods], so each run of nmods consecutive sites — one
  * group, nmods·m·n contiguous outputs — is a row whose column j reduces
@@ -585,7 +682,7 @@ namespace {
  */
 template <class T>
 void
-sliced_matmul_sites_impl(const u64 *a, const u64 *b, u64 *c, size_t sites,
+sliced_matmul_sites_impl(const u64 *a, OperandRef b, u64 *c, size_t sites,
                          size_t m, size_t n, size_t k,
                          const std::vector<Modulus> &mods,
                          const SplitPlan &plan)
@@ -593,11 +690,10 @@ sliced_matmul_sites_impl(const u64 *a, const u64 *b, u64 *c, size_t sites,
     const size_t nmods = mods.size();
     const size_t mn = m * n;
     Workspace::Frame frame;
-    PlanesPtr<T> keep_a, keep_b;
     const T *ap = operand_planes<T>(a, sites * m * k, plan.a_planes,
-                                    plan.a_plane_bits, frame, keep_a);
+                                    plan.a_plane_bits, frame);
     const T *bp = operand_planes<T>(b, sites * k * n, plan.b_planes,
-                                    plan.b_plane_bits, frame, keep_b);
+                                    plan.b_plane_bits, frame);
     const size_t pairs = static_cast<size_t>(plan.products());
     const size_t width = nmods * mn;
     const Weights wt = column_weights(frame, plan, width, [&](size_t j) {
@@ -643,7 +739,7 @@ sliced_matmul_sites_impl(const u64 *a, const u64 *b, u64 *c, size_t sites,
 } // namespace
 
 void
-fp64_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
+fp64_sliced_matmul_sites(const u64 *a, OperandRef b, u64 *c, size_t sites,
                          size_t m, size_t n, size_t k,
                          const std::vector<Modulus> &mods)
 {
@@ -658,7 +754,7 @@ fp64_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
 }
 
 void
-int8_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
+int8_sliced_matmul_sites(const u64 *a, OperandRef b, u64 *c, size_t sites,
                          size_t m, size_t n, size_t k,
                          const std::vector<Modulus> &mods)
 {
@@ -717,22 +813,14 @@ int8_tcu_col_matmul()
 const ModMatMulFn &
 fp64_tcu_matmul()
 {
-    static const ModMatMulFn fn = [](const u64 *a, const u64 *b, u64 *c,
-                                     size_t m, size_t n, size_t k,
-                                     const Modulus &q) {
-        fp64_sliced_matmul(a, b, c, m, n, k, q);
-    };
+    static const ModMatMulFn fn = fp64_sliced_matmul;
     return fn;
 }
 
 const ModMatMulFn &
 int8_tcu_matmul()
 {
-    static const ModMatMulFn fn = [](const u64 *a, const u64 *b, u64 *c,
-                                     size_t m, size_t n, size_t k,
-                                     const Modulus &q) {
-        int8_sliced_matmul(a, b, c, m, n, k, q);
-    };
+    static const ModMatMulFn fn = int8_sliced_matmul;
     return fn;
 }
 

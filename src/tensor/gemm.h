@@ -13,6 +13,11 @@
  * Both must agree bit-for-bit with the u128 scalar reference — this is
  * the functional heart of the paper's §3.4 argument and is enforced by
  * tests/tensor_test.cpp.
+ *
+ * Every engine takes B as an OperandRef. When B is a StaticOperand the
+ * sliced engines slice it once per plane plan and keep the planes in
+ * the owner (counted as `gemm.plane_cache.hit`/`miss`); a raw pointer
+ * is sliced into scratch on every call. A is always sliced per call.
  */
 #pragma once
 
@@ -25,16 +30,16 @@ namespace neo {
  * C = A·B mod q through the FP64-plane path. A is M×K with entries
  * < q, B is K×N with entries < q, row-major.
  */
-void fp64_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m,
+void fp64_sliced_matmul(const u64 *a, OperandRef b, u64 *c, size_t m,
                         size_t n, size_t k, const Modulus &q);
 
 /// Same with an explicit plane plan (tests sweep plans).
-void fp64_sliced_matmul_plan(const u64 *a, const u64 *b, u64 *c, size_t m,
+void fp64_sliced_matmul_plan(const u64 *a, OperandRef b, u64 *c, size_t m,
                              size_t n, size_t k, const Modulus &q,
                              const SplitPlan &plan);
 
 /// C = A·B mod q through the INT8-plane path (INT32 accumulation).
-void int8_sliced_matmul(const u64 *a, const u64 *b, u64 *c, size_t m,
+void int8_sliced_matmul(const u64 *a, OperandRef b, u64 *c, size_t m,
                         size_t n, size_t k, const Modulus &q);
 
 /// ModMatMulFn adapters for plugging into MatrixNtt / Neo kernels.
@@ -48,23 +53,23 @@ const ModMatMulFn &int8_tcu_matmul();
  * Plane widths are sized for the widest column modulus.
  */
 using ModColMatMulFn =
-    std::function<void(const u64 *a, const u64 *b, u64 *c, size_t m,
+    std::function<void(const u64 *a, OperandRef b, u64 *c, size_t m,
                        size_t n, size_t k,
                        const std::vector<Modulus> &col_mods)>;
 
 /// Scalar reference for the per-column variant.
-void scalar_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
+void scalar_matmul_cols(const u64 *a, OperandRef b, u64 *c, size_t m,
                         size_t n, size_t k,
                         const std::vector<Modulus> &col_mods);
 
 /// FP64-plane implementation of the per-column variant.
-void fp64_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
+void fp64_sliced_matmul_cols(const u64 *a, OperandRef b, u64 *c, size_t m,
                              size_t n, size_t k,
                              const std::vector<Modulus> &col_mods);
 
 /// INT8-plane implementation of the per-column variant (TensorFHE's
 /// engine driving the matrix-form BConv, for comparison).
-void int8_sliced_matmul_cols(const u64 *a, const u64 *b, u64 *c, size_t m,
+void int8_sliced_matmul_cols(const u64 *a, OperandRef b, u64 *c, size_t m,
                              size_t n, size_t k,
                              const std::vector<Modulus> &col_mods);
 
@@ -82,8 +87,8 @@ const ModColMatMulFn &int8_tcu_col_matmul();
  * cycling through the α' T primes. Issuing it as ONE engine call
  * amortises the per-call fixed costs (span, counters, plane slicing,
  * split-plan selection) that dwarf the ~MNK useful MACs of a single
- * site; the sliced engines also slice the whole key tensor as one
- * plane-cache entry instead of one per site.
+ * site; the sliced engines also keep the whole key tensor's planes
+ * as one memoised plane set instead of one per site.
  *
  * Counted as a single GEMM of shape (sites·M)×N×K, which preserves
  * the FLOP accounting. Each site's accumulation order is unchanged
@@ -91,22 +96,22 @@ const ModColMatMulFn &int8_tcu_col_matmul();
  * over sites with the matching single-site engine.
  */
 using ModSiteMatMulFn =
-    std::function<void(const u64 *a, const u64 *b, u64 *c, size_t sites,
+    std::function<void(const u64 *a, OperandRef b, u64 *c, size_t sites,
                        size_t m, size_t n, size_t k,
                        const std::vector<Modulus> &mods)>;
 
 /// Scalar (u128 accumulate) reference for the per-site variant.
-void scalar_matmul_sites(const u64 *a, const u64 *b, u64 *c, size_t sites,
+void scalar_matmul_sites(const u64 *a, OperandRef b, u64 *c, size_t sites,
                          size_t m, size_t n, size_t k,
                          const std::vector<Modulus> &mods);
 
 /// FP64-plane implementation of the per-site variant.
-void fp64_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c,
+void fp64_sliced_matmul_sites(const u64 *a, OperandRef b, u64 *c,
                               size_t sites, size_t m, size_t n, size_t k,
                               const std::vector<Modulus> &mods);
 
 /// INT8-plane implementation of the per-site variant.
-void int8_sliced_matmul_sites(const u64 *a, const u64 *b, u64 *c,
+void int8_sliced_matmul_sites(const u64 *a, OperandRef b, u64 *c,
                               size_t sites, size_t m, size_t n, size_t k,
                               const std::vector<Modulus> &mods);
 

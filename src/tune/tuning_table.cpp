@@ -28,18 +28,16 @@ canonical_stages()
 auto
 order_key(const SiteDecision &d)
 {
-    // devices sorts last so historical (device-agnostic) tables keep
-    // their exact canonical order.
     return std::make_tuple(d.n, d.d_num, d.level, stage_rank(d.stage),
-                           std::string_view(d.stage), d.devices);
+                           std::string_view(d.stage));
 }
 
 bool
 same_site(const SiteDecision &d, std::string_view stage, size_t level,
-          size_t d_num, size_t n, size_t devices)
+          size_t d_num, size_t n)
 {
     return d.n == n && d.d_num == d_num && d.level == level &&
-           d.devices == devices && d.stage == stage;
+           d.stage == stage;
 }
 
 } // namespace
@@ -58,7 +56,7 @@ void
 TuningTable::add(SiteDecision d)
 {
     for (auto &e : entries_) {
-        if (same_site(e, d.stage, d.level, d.d_num, d.n, d.devices)) {
+        if (same_site(e, d.stage, d.level, d.d_num, d.n)) {
             e = std::move(d);
             return;
         }
@@ -72,26 +70,19 @@ TuningTable::add(SiteDecision d)
 
 const SiteDecision *
 TuningTable::find(std::string_view stage, size_t level, size_t d_num,
-                  size_t n, size_t devices) const
+                  size_t n) const
 {
-    // A decision pinned to this exact device count wins...
-    if (devices != 0) {
-        for (const auto &e : entries_)
-            if (same_site(e, stage, level, d_num, n, devices))
-                return &e;
-    }
-    // ...else a device-agnostic entry matches any run.
     for (const auto &e : entries_)
-        if (same_site(e, stage, level, d_num, n, 0))
+        if (same_site(e, stage, level, d_num, n))
             return &e;
     return nullptr;
 }
 
 std::optional<EngineId>
 TuningTable::lookup(std::string_view stage, size_t level, size_t d_num,
-                    size_t n, size_t devices) const
+                    size_t n) const
 {
-    if (const SiteDecision *d = find(stage, level, d_num, n, devices))
+    if (const SiteDecision *d = find(stage, level, d_num, n))
         return d->engine;
     return std::nullopt;
 }
@@ -106,7 +97,7 @@ TuningTable::policy(ExecPolicy base) const
     base.select = EngineSelect::autotune;
     base.site_engine = [table, fallback](const SiteKey &site) {
         if (auto e = table->lookup(site.stage, site.level, site.d_num,
-                                   site.n, site.devices))
+                                   site.n))
             return *e;
         return fallback;
     };
@@ -126,10 +117,6 @@ TuningTable::to_json() const
         w.key("level").value(static_cast<u64>(e.level));
         w.key("d_num").value(static_cast<u64>(e.d_num));
         w.key("n").value(static_cast<u64>(e.n));
-        // Additive field: absent means device-agnostic, so historical
-        // neo.tune/1 documents round-trip byte-identically.
-        if (e.devices != 0)
-            w.key("devices").value(static_cast<u64>(e.devices));
         w.key("valid").value(e.valid);
         w.key("engine").value(EngineRegistry::name(e.engine));
         w.key("scores").begin_object();
@@ -166,8 +153,9 @@ TuningTable::parse(const json::Value &v)
         d.level = static_cast<size_t>(ev.at("level").as_number());
         d.d_num = static_cast<size_t>(ev.at("d_num").as_number());
         d.n = static_cast<size_t>(ev.at("n").as_number());
-        if (const json::Value *devices = ev.find("devices"))
-            d.devices = static_cast<size_t>(devices->as_number());
+        NEO_CHECK(ev.find("devices") == nullptr,
+                  "tuning table entry pins a device count; per-device "
+                  "entries are not supported (drop the \"devices\" key)");
         if (const json::Value *valid = ev.find("valid"))
             d.valid = valid->as_number();
         d.engine = EngineRegistry::parse(ev.at("engine").as_string());

@@ -54,14 +54,6 @@ struct SiteDecision
     /// FP64 fragment valid proportion at this site (§4.5.3) —
     /// informational, not part of the lookup key.
     double valid = 0;
-    /**
-     * Device count this decision is pinned to; 0 — the default and
-     * the only value historical tables contain — means
-     * device-agnostic (matches a run with any --devices). Nonzero
-     * entries win over agnostic ones at their exact device count.
-     * Serialized only when nonzero, so `neo.tune/1` is unchanged.
-     */
-    size_t devices = 0;
     EngineId engine = EngineId::fp64_tcu; ///< the decision
     /// Per-engine scores, in EngineRegistry::ids() order.
     std::vector<SiteScore> scores;
@@ -77,21 +69,14 @@ class TuningTable
     /// Insert @p d, replacing any entry with the same key.
     void add(SiteDecision d);
 
-    /**
-     * Lookup for a run on @p devices devices (0 = "agnostic only",
-     * the historical call): a decision pinned to exactly @p devices
-     * wins; otherwise a device-agnostic entry (devices == 0) matches;
-     * nullopt when the site was never tuned.
-     */
+    /// The decision for a site; nullopt when the site was never tuned.
+    /// Decisions hold for any device count.
     std::optional<EngineId> lookup(std::string_view stage, size_t level,
-                                   size_t d_num, size_t n,
-                                   size_t devices = 0) const;
+                                   size_t d_num, size_t n) const;
 
     /// The full entry for a site (scores included); nullptr if absent.
-    /// Same exact-then-agnostic device matching as lookup().
     const SiteDecision *find(std::string_view stage, size_t level,
-                             size_t d_num, size_t n,
-                             size_t devices = 0) const;
+                             size_t d_num, size_t n) const;
 
     /// Entries in canonical (n, d_num, level, stage) order.
     const std::vector<SiteDecision> &entries() const { return entries_; }
@@ -111,7 +96,10 @@ class TuningTable
     /// to_json + write to @p path (with trailing newline).
     void write_file(const std::string &path) const;
 
-    /// Parse a `neo.tune/1` document; throws on schema/field errors.
+    /// Parse a `neo.tune/1` document; throws on schema/field errors,
+    /// including a `devices` field (per-device-count entries are not
+    /// supported, and merging one into a device-agnostic site would
+    /// silently change its decision).
     static TuningTable from_json(std::string_view text);
     static TuningTable parse(const json::Value &v);
     /// Parse the contents of @p path; throws if unreadable.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
@@ -407,6 +408,24 @@ TEST(CkksParams, Validation)
     p = CkksParams::test_params();
     p.d_num = 0;
     EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(CkksParams, SixtyFourBitWordSizeTIsModelOnly)
+{
+    // Paper Set D prices WordSize_T = 64, so validate() accepts it; a
+    // functional context cannot exist (T primes must stay below 2^63)
+    // and says so instead of failing inside prime generation.
+    CkksParams p = CkksParams::test_params(256, 3, 2);
+    p.klss.word_size_t = 64;
+    EXPECT_NO_THROW(p.validate());
+    try {
+        CkksContext ctx(p);
+        ADD_FAILURE() << "WordSize_T = 64 context constructed";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("model-only"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CkksParams, DeltaDefaultsToWordSize)

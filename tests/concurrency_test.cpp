@@ -4,8 +4,8 @@
  *
  * Hammers every process-wide shared-state module from NTHREADS threads
  * at once. Under a plain build these tests check the functional
- * contracts (stable references, exact merge totals, generation
- * monotonicity); their real value is under `-DNEO_SANITIZE=ON` with
+ * contracts (stable references, exact merge totals, build-once
+ * memoisation); their real value is under `-DNEO_SANITIZE=ON` with
  * ThreadSanitizer, where any locking hole in the annotated modules
  * becomes a hard failure. Together with the clang `-Wthread-safety`
  * CI leg this gives both static and dynamic coverage of the same
@@ -28,7 +28,8 @@
 #include "common/static_operand.h"
 #include "common/types.h"
 #include "obs/obs.h"
-#include "tensor/plane_cache.h"
+#include "rns/primes.h"
+#include "tensor/gemm.h"
 
 using namespace neo;
 using namespace neo::ckks;
@@ -63,111 +64,53 @@ hammer(Fn fn)
 } // namespace
 
 // ---------------------------------------------------------------------
-// StaticOperands: pin / unpin / generation races
+// StaticOperand: concurrent first uses of one operand's planes
 // ---------------------------------------------------------------------
 
-TEST(Concurrency, StaticOperandPinUnpinRace)
+TEST(Concurrency, StaticOperandConcurrentPlaneLookups)
 {
-    auto &reg = StaticOperands::instance();
+    // One static operand shared by all threads; every thread asks for
+    // the same derived form, so the owner must build it exactly once
+    // and serve the same storage to everyone.
+    const StaticOperand op(std::vector<u64>(512, 7));
 
-    // One private buffer per thread: pin/unpin churn must never
-    // corrupt the registry or hand out a stale generation.
-    std::vector<std::vector<u64>> bufs(NTHREADS);
-    for (auto &b : bufs)
-        b.assign(256, 0x1234'5678'9abc'def0ull);
-
-    // A shared buffer pinned for the whole test: its generation must
-    // stay constant no matter how much churn happens around it.
-    std::vector<u64> shared(128, 7);
-    StaticPin shared_pin(shared.data(), shared.size() * sizeof(u64));
-    const u64 shared_gen = reg.generation(shared.data());
-    ASSERT_NE(shared_gen, 0u);
-
-    hammer([&](int t) {
-        u64 last = 0;
-        for (int i = 0; i < 200; ++i) {
-            u64 g = reg.pin(bufs[t].data(),
-                            bufs[t].size() * sizeof(u64));
-            EXPECT_GT(g, last); // generations are monotone
-            last = g;
-            // Interior pointers resolve to the enclosing pin.
-            EXPECT_EQ(reg.generation(bufs[t].data() + 17), g);
-            // The concurrently churned registry still resolves the
-            // long-lived pin correctly.
-            EXPECT_EQ(reg.generation(shared.data() + (i % 128)),
-                      shared_gen);
-            reg.unpin(bufs[t].data());
-            EXPECT_EQ(reg.generation(bufs[t].data()), 0u);
-        }
-    });
-
-    EXPECT_EQ(reg.generation(shared.data()), shared_gen);
-}
-
-// ---------------------------------------------------------------------
-// PlaneCache: concurrent lookups against pinned operands
-// ---------------------------------------------------------------------
-
-TEST(Concurrency, PlaneCacheConcurrentLookups)
-{
-    auto &cache = PlaneCache::global();
-    cache.clear();
-
-    // A handful of pinned operands shared by all threads; every thread
-    // asks for the same derived planes, so the cache must build each
-    // entry exactly once semantically and serve identical storage.
-    constexpr int NOPS = 4;
-    std::vector<std::vector<u64>> ops(NOPS);
-    std::vector<StaticPin> pins;
-    for (int o = 0; o < NOPS; ++o) {
-        ops[o].resize(512);
-        for (size_t i = 0; i < ops[o].size(); ++i)
-            ops[o][i] = (u64(o + 1) << 40) ^ (u64(i) * 0x9e3779b97f4a7c15ull);
-        pins.emplace_back(ops[o].data(), ops[o].size() * sizeof(u64));
-    }
-
-    SplitPlan plan;
-    plan.a_planes = 4;
-    plan.a_plane_bits = 16;
-    plan.b_planes = 4;
-    plan.b_plane_bits = 16;
-
-    std::vector<PlaneCache::F64Ptr> f64_seen(NTHREADS);
-    std::vector<PlaneCache::Pow2Ptr> pow2_seen(NTHREADS);
-
+    std::atomic<int> builds{0};
+    std::vector<const StaticOperand::Derived *> seen(NTHREADS);
     hammer([&](int t) {
         for (int i = 0; i < 100; ++i) {
-            const auto &op = ops[(t + i) % NOPS];
-            auto f = cache.f64_planes(op.data(), op.size(), 4, 16);
-            ASSERT_NE(f, nullptr);
-            auto s = cache.i32_planes(op.data(), op.size(), 8, 8);
-            ASSERT_NE(s, nullptr);
-            int w = cache.width_bits(op.data(), op.size());
-            EXPECT_GT(w, 0);
-            auto p2 = cache.pow2(plan, 0xffff'ffff'0000'0001ull);
-            ASSERT_NE(p2, nullptr);
-            if (i == 0 && (t + i) % NOPS == 0) {
-                f64_seen[t] = f;
-                pow2_seen[t] = p2;
-            }
+            const auto &d = op.derived({0, 4, 16}, [&] {
+                builds.fetch_add(1);
+                return std::make_unique<StaticOperand::Derived>();
+            });
+            if (i == 0)
+                seen[t] = &d;
+            EXPECT_EQ(&d, seen[t]);
         }
     });
+    EXPECT_EQ(builds.load(), 1);
+    for (const auto *d : seen)
+        EXPECT_EQ(d, seen[0]);
 
-    // All threads that sampled operand 0 must agree on the bytes.
-    const PlaneCache::F64Ptr *first = nullptr;
-    for (const auto &f : f64_seen) {
-        if (!f)
-            continue;
-        if (first == nullptr) {
-            first = &f;
-            continue;
-        }
-        ASSERT_EQ(f->size(), (*first)->size());
-        EXPECT_EQ(std::memcmp(f->data(), (*first)->data(),
-                              f->size() * sizeof(double)),
-                  0);
-    }
-    cache.clear();
+    // The same through a sliced engine: 16 threads multiply by the
+    // same fresh operand; exactly one call slices it, the rest hit, and
+    // every product is identical.
+    const Modulus q(generate_ntt_primes(50, 1, 1 << 10)[0]);
+    const size_t m = 8, n = 16, k = 32;
+    std::vector<u64> a(m * k), b(k * n);
+    for (size_t i = 0; i < a.size(); ++i)
+        a[i] = (i * 0x9e3779b97f4a7c15ull) % q.value();
+    for (size_t i = 0; i < b.size(); ++i)
+        b[i] = (i * 0xbf58476d1ce4e5b9ull) % q.value();
+    const StaticOperand bop(b);
+    std::vector<std::vector<u64>> out(NTHREADS, std::vector<u64>(m * n));
+    obs::Scope scope;
+    hammer([&](int t) {
+        fp64_sliced_matmul(a.data(), bop, out[t].data(), m, n, k, q);
+    });
+    EXPECT_EQ(scope.counter("gemm.plane_cache.miss"), 1u);
+    EXPECT_EQ(scope.counter("gemm.plane_cache.hit"), u64(NTHREADS - 1));
+    for (const auto &o : out)
+        EXPECT_EQ(o, out[0]);
 }
 
 // ---------------------------------------------------------------------

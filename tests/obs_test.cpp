@@ -284,8 +284,8 @@ TEST_F(ObsPipeline, TracedPipelineMatchesAnalyticCounts)
 TEST_F(ObsPipeline, CountersDeterministicAcrossThreadCounts)
 {
     RnsPoly d2 = random_eval_poly(*ctx_, 5, 77);
-    // Warm the hot-path caches (plane cache, pipeline kernels, key
-    // operands) so both measured runs are steady-state: the
+    // Warm the hot-path caches (pipeline kernels, key operands and
+    // their planes) so both measured runs are steady-state: the
     // gemm.plane_cache.* counters are then identical per run instead
     // of shifting from miss-heavy to hit-only between them.
     (void)keyswitch_klss_pipeline(d2, *klss_rlk_, *ctx_);

@@ -1,20 +1,24 @@
 /**
  * Hot-path precomputation caches — differential correctness suite.
  *
- * The caches introduced for the steady-state key-switch path
- * (PlaneCache, ckks::KeySwitchPrecomp, the per-key operand
- * caches, and the per-thread Workspace arena) are pure memoization:
- * they must never change a single output bit. These tests pin that
- * down three ways:
+ * The caches introduced for the steady-state key-switch path (the
+ * planes static GEMM operands keep, ckks::KeySwitchPrecomp, the
+ * per-key operand caches, and the per-thread Workspace arena) are
+ * pure memoization: they must never change a single output bit. These
+ * tests pin that down four ways:
  *
- *   1. keyswitch_klss_pipeline with caches cold, warm, and disabled
- *      is bit-identical to the reference ckks::keyswitch_klss across
- *      21 (level, d_num, engine) configurations;
+ *   1. keyswitch_klss_pipeline with caches cold and warm is
+ *      bit-identical to the reference ckks::keyswitch_klss across 21
+ *      (level, d_num, engine) configurations (the raw-pointer vs
+ *      StaticOperand engine control lives in tensor_test);
  *   2. the same holds under 1 / 2 / 7 / 16 worker threads, and for
  *      Evaluator::mul / rotate routed through the pipeline;
  *   3. the gemm.plane_cache.{hit,miss} counters prove operand slicing
  *      happens exactly once: a second mul with the same key bundle
- *      records hits and zero misses.
+ *      records hits and zero misses;
+ *   4. planes die with their owners: building, using and destroying
+ *      contexts and keys in a loop holds plane_cache.resident_bytes
+ *      steady.
  */
 #include <gtest/gtest.h>
 
@@ -29,7 +33,6 @@
 #include "common/thread_pool.h"
 #include "neo/pipeline.h"
 #include "obs/obs.h"
-#include "tensor/plane_cache.h"
 
 namespace neo {
 namespace {
@@ -131,14 +134,13 @@ ParamSet *PerfCache::set_a_ = nullptr;
 ParamSet *PerfCache::set_b_ = nullptr;
 
 // ---------------------------------------------------------------------
-// Keyswitch: cached vs uncached vs reference
+// Keyswitch: cold vs warm vs reference
 // ---------------------------------------------------------------------
 
-TEST_F(PerfCache, KeyswitchCachedAndUncachedMatchReference)
+TEST_F(PerfCache, KeyswitchColdAndWarmMatchReference)
 {
     const auto cfgs = configs();
     ASSERT_GE(cfgs.size(), 20u);
-    auto &pc = PlaneCache::global();
     for (const auto &cfg : cfgs) {
         SCOPED_TRACE(::testing::Message()
                      << cfg.engine << " d_num="
@@ -149,15 +151,6 @@ TEST_F(PerfCache, KeyswitchCachedAndUncachedMatchReference)
                                       1000 + cfg.level);
         const auto ref =
             keyswitch_klss(d2, cfg.set->klss_rlk, cfg.set->ctx);
-
-        // Uncached control: plane cache disabled end to end.
-        pc.clear();
-        pc.set_enabled(false);
-        const auto uncached = keyswitch_klss_pipeline(
-            d2, cfg.set->klss_rlk, cfg.set->ctx, policy);
-        pc.set_enabled(true);
-        EXPECT_TRUE(poly_eq(uncached.first, ref.first));
-        EXPECT_TRUE(poly_eq(uncached.second, ref.second));
 
         // Cold run populates the caches; warm run consumes them.
         const auto cold = keyswitch_klss_pipeline(
@@ -261,7 +254,7 @@ TEST_F(PerfCache, SecondMulHitsPlaneCacheWithoutMisses)
     ev.set_klss_keyswitch(
         klss_keyswitch_fn(ExecPolicy::fixed(EngineId::fp64_tcu)));
 
-    PlaneCache::global().clear();
+    // The bundle is fresh, so its key tensors have no planes yet.
     u64 first_hit = 0, first_miss = 0;
     {
         obs::Scope scope;
@@ -269,15 +262,48 @@ TEST_F(PerfCache, SecondMulHitsPlaneCacheWithoutMisses)
         first_hit = scope.counter("gemm.plane_cache.hit");
         first_miss = scope.counter("gemm.plane_cache.miss");
     }
-    // The cold mul slices every pinned static operand once.
+    // The cold mul slices every static operand without planes once.
     EXPECT_GT(first_miss, 0u);
 
     obs::Scope scope;
     (void)ev.mul(ca, ca, keys);
-    // Steady state: every pinned-operand lookup hits, nothing is
+    // Steady state: every static-operand lookup hits, nothing is
     // re-sliced.
     EXPECT_GT(scope.counter("gemm.plane_cache.hit"), first_hit);
     EXPECT_EQ(scope.counter("gemm.plane_cache.miss"), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Plane lifetime: planes die with the operands that own them
+// ---------------------------------------------------------------------
+
+TEST(PerfCachePlanes, ResidentBytesStaySteadyAcrossContextChurn)
+{
+    // Each round builds a context and KLSS key, switches once on the
+    // fp64 engine and destroys both. The key's planes die with the key;
+    // the context's kernels (and their planes) stay in the pipeline's
+    // LRU of 4 contexts until a newer context evicts them. From then
+    // on every round frees exactly what it adds.
+    obs::Scope scope;
+    const auto resident = [&] {
+        return scope.registry().gauge("plane_cache.resident_bytes").current;
+    };
+    std::vector<double> after;
+    for (int round = 0; round < 6; ++round) {
+        {
+            const CkksParams params = CkksParams::test_params(256, 5, 2);
+            const CkksContext ctx(params);
+            KeyGenerator keygen(ctx, 500 + static_cast<u64>(round));
+            const SecretKey sk = keygen.secret_key();
+            const KlssEvalKey rlk = keygen.to_klss(keygen.relin_key(sk));
+            const RnsPoly d2 = random_eval_poly(ctx, 5, 900);
+            (void)keyswitch_klss_pipeline(
+                d2, rlk, ctx, ExecPolicy::fixed(EngineId::fp64_tcu));
+        }
+        after.push_back(resident());
+    }
+    EXPECT_GT(after[4], 0.0);
+    EXPECT_EQ(after[5], after[4]);
 }
 
 } // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 
 #include "common/random.h"
+#include "obs/obs.h"
 #include "poly/matrix_ntt.h"
 #include "rns/primes.h"
 #include "tensor/bitslice.h"
@@ -180,6 +182,93 @@ TEST(SlicedGemm, SiteAndColumnEnginesMatchScalar)
         int8_sliced_matmul_cols(ca.data(), cb.data(), cgot.data(), rows,
                                 count, k, mods);
         EXPECT_EQ(cgot, cref) << "int8 cols " << first << "+" << count;
+    }
+}
+
+TEST(SlicedGemm, StaticOperandMatchesRawPointer)
+{
+    // Each sliced entry point gives the same product whether B is a
+    // raw pointer (sliced on every call) or a StaticOperand (sliced on
+    // the first call, then served from the owner), and both equal the
+    // scalar reference. A fresh owner misses once, then hits.
+    std::vector<Modulus> mods;
+    for (int bits : {36, 48, 62})
+        mods.emplace_back(generate_ntt_primes(bits, 1, 1 << 10)[0]);
+    const Modulus &q = mods[1];
+    const std::vector<Modulus> col_mods(mods.begin(), mods.begin() + 3);
+    const size_t m = 37, n = 3, k = 16, sites = 41;
+    using Fn = std::function<void(const u64 *, OperandRef, u64 *)>;
+    struct Case
+    {
+        const char *name;
+        size_t a_len, b_len, c_len;
+        Fn ref, engine;
+    };
+    const Case cases[] = {
+        {"fp64", m * k, k * n, m * n,
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             scalar_mod_matmul(a, b, c, m, n, k, q);
+         },
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             fp64_sliced_matmul(a, b, c, m, n, k, q);
+         }},
+        {"int8", m * k, k * n, m * n,
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             scalar_mod_matmul(a, b, c, m, n, k, q);
+         },
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             int8_sliced_matmul(a, b, c, m, n, k, q);
+         }},
+        {"fp64 cols", m * k, k * n, m * n,
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             scalar_matmul_cols(a, b, c, m, n, k, col_mods);
+         },
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             fp64_sliced_matmul_cols(a, b, c, m, n, k, col_mods);
+         }},
+        {"int8 cols", m * k, k * n, m * n,
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             scalar_matmul_cols(a, b, c, m, n, k, col_mods);
+         },
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             int8_sliced_matmul_cols(a, b, c, m, n, k, col_mods);
+         }},
+        {"fp64 sites", sites * 2 * k, sites * k * n, sites * 2 * n,
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             scalar_matmul_sites(a, b, c, sites, 2, n, k, mods);
+         },
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             fp64_sliced_matmul_sites(a, b, c, sites, 2, n, k, mods);
+         }},
+        {"int8 sites", sites * 2 * k, sites * k * n, sites * 2 * n,
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             scalar_matmul_sites(a, b, c, sites, 2, n, k, mods);
+         },
+         [&](const u64 *a, OperandRef b, u64 *c) {
+             int8_sliced_matmul_sites(a, b, c, sites, 2, n, k, mods);
+         }},
+    };
+    Rng rng(23);
+    for (const Case &cs : cases) {
+        SCOPED_TRACE(cs.name);
+        const auto a = rng.uniform_vec(cs.a_len, mods[0].value());
+        const auto b = rng.uniform_vec(cs.b_len, mods[0].value());
+        const StaticOperand owned(b);
+        std::vector<u64> ref(cs.c_len), raw(cs.c_len), cold(cs.c_len),
+            warm(cs.c_len);
+        cs.ref(a.data(), b.data(), ref.data());
+        obs::Scope scope;
+        cs.engine(a.data(), b.data(), raw.data());
+        EXPECT_EQ(scope.counter("gemm.plane_cache.miss"), 0u);
+        cs.engine(a.data(), owned, cold.data());
+        EXPECT_EQ(scope.counter("gemm.plane_cache.miss"), 1u);
+        EXPECT_EQ(scope.counter("gemm.plane_cache.hit"), 0u);
+        cs.engine(a.data(), owned, warm.data());
+        EXPECT_EQ(scope.counter("gemm.plane_cache.miss"), 1u);
+        EXPECT_EQ(scope.counter("gemm.plane_cache.hit"), 1u);
+        EXPECT_EQ(raw, ref);
+        EXPECT_EQ(cold, ref);
+        EXPECT_EQ(warm, ref);
     }
 }
 

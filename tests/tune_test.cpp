@@ -293,72 +293,17 @@ TEST(TuneFreshness, CheckedInTableMatchesTunerOutput)
 #endif
 
 // ---------------------------------------------------------------------
-// Device-pinned decisions (multi-device sharding)
+// Device counts: decisions hold for any device count
 // ---------------------------------------------------------------------
 
-TEST(TuneDevices, PinnedEntriesWinOverAgnosticAndRoundTrip)
+TEST(TuneTable, ParseRejectsDevicePinnedEntries)
 {
-    tune::TuningTable table;
-    tune::SiteDecision agnostic;
-    agnostic.stage = "ip";
-    agnostic.level = 4;
-    agnostic.d_num = 2;
-    agnostic.n = 256;
-    agnostic.engine = EngineId::fp64_tcu;
-    table.add(agnostic);
-    tune::SiteDecision pinned = agnostic;
-    pinned.devices = 2;
-    pinned.engine = EngineId::int8_tcu;
-    table.add(pinned);
-
-    // Historical lookups (devices omitted) see only the agnostic
-    // entry; a 2-device run sees its pinned decision; a 4-device run
-    // falls back to agnostic.
-    EXPECT_EQ(table.lookup("ip", 4, 2, 256), EngineId::fp64_tcu);
-    EXPECT_EQ(table.lookup("ip", 4, 2, 256, 2), EngineId::int8_tcu);
-    EXPECT_EQ(table.lookup("ip", 4, 2, 256, 4), EngineId::fp64_tcu);
-
-    // The `devices` key serializes only when nonzero, and survives a
-    // round trip with the same semantics.
-    const std::string doc = table.to_json();
-    EXPECT_NE(doc.find("\"devices\": 2"), std::string::npos);
-    const auto reparsed = tune::TuningTable::from_json(doc);
-    EXPECT_EQ(reparsed.to_json(), doc);
-    EXPECT_EQ(reparsed.lookup("ip", 4, 2, 256, 2), EngineId::int8_tcu);
-    EXPECT_EQ(reparsed.lookup("ip", 4, 2, 256), EngineId::fp64_tcu);
-}
-
-TEST(TuneDevices, AgnosticTablesAreUnchangedOnDisk)
-{
-    // A table with no pinned entries must serialize exactly as before
-    // the devices field existed (no "devices" key anywhere): the
-    // checked-in neo.tune.json and its golden stay byte-identical.
-    const auto table = tuned_table();
-    for (const auto &e : table.entries())
-        EXPECT_EQ(e.devices, 0u);
-    EXPECT_EQ(table.to_json().find("\"devices\""), std::string::npos);
-}
-
-TEST(TuneDevices, PolicyResolvesPerDeviceCount)
-{
-    tune::TuningTable table;
-    tune::SiteDecision pinned;
-    pinned.stage = "ip";
-    pinned.level = 4;
-    pinned.d_num = 2;
-    pinned.n = 256;
-    pinned.devices = 2;
-    pinned.engine = EngineId::scalar;
-    table.add(pinned);
-
-    ExecPolicy base;
-    base.engine = EngineId::fp64_tcu;
-    base.devices = 2;
-    const auto policy = table.policy(base);
-    SiteKey site{"ip", 4, 2, 256, 0.0, 2};
-    EXPECT_EQ(policy.engine_at(site), EngineId::scalar);
-    // The same site on one device misses the pinned entry and falls
-    // back to the base engine.
-    site.devices = 1;
-    EXPECT_EQ(policy.engine_at(site), EngineId::fp64_tcu);
+    // An entry pinned to a device count must fail to load rather than
+    // silently replace the device-agnostic decision for its site.
+    const std::string doc = R"({"schema": "neo.tune/1", "entries": [
+        {"stage": "ip", "level": 4, "d_num": 2, "n": 256,
+         "engine": "fp64_tcu"},
+        {"stage": "ip", "level": 4, "d_num": 2, "n": 256, "devices": 2,
+         "engine": "int8_tcu"}]})";
+    EXPECT_THROW(tune::TuningTable::from_json(doc), std::invalid_argument);
 }
