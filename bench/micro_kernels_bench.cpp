@@ -15,6 +15,7 @@
 #include "obs/obs.h"
 #include "poly/matrix_ntt.h"
 #include "poly/rns_poly.h"
+#include "rns/base_convert.h"
 #include "rns/primes.h"
 #include "tensor/gemm.h"
 
@@ -31,21 +32,73 @@ thread_sweep(benchmark::internal::Benchmark *b)
         b->Arg(t);
 }
 
+/// Radix-2 negacyclic NTT (the CUDA-core kernel). Args: N, direction
+/// (0 = forward, 1 = inverse). N = 256 and 1024 are the hebench ring
+/// degrees.
 void
 BM_NttRadix2(benchmark::State &state)
 {
     const size_t n = static_cast<size_t>(state.range(0));
+    const bool inverse = state.range(1) != 0;
     Modulus q(generate_ntt_primes(36, 1, n)[0]);
     NttTables t(n, q);
     Rng rng(1);
     auto a = rng.uniform_vec(n, q.value());
     for (auto _ : state) {
-        t.forward(a.data());
+        if (inverse)
+            t.inverse(a.data());
+        else
+            t.forward(a.data());
         benchmark::DoNotOptimize(a.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_NttRadix2)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16);
+BENCHMARK(BM_NttRadix2)
+    ->ArgsProduct({{256, 1024, 1 << 12, 1 << 14, 1 << 16}, {0, 1}});
+
+/// Element-wise BaseConverter over N = 1024 coefficients into 10
+/// target primes of the source width. Args: source primes, bits. The
+/// (5, 36) shape is the hebench Hybrid ModUp/ModDown; (14, 60) folds
+/// the lazy row sum every 8 terms.
+template <bool Exact>
+void
+BM_BaseConvert(benchmark::State &state)
+{
+    const size_t n = 1024;
+    const int k = static_cast<int>(state.range(0));
+    const int bits = static_cast<int>(state.range(1));
+    auto p1 = generate_ntt_primes(bits, k, n);
+    auto p2 = generate_ntt_primes(bits, 10, n, p1);
+    BaseConverter conv{RnsBasis(p1), RnsBasis(p2)};
+    Rng rng(7);
+    std::vector<u64> in(p1.size() * n), out(p2.size() * n);
+    for (size_t i = 0; i < p1.size(); ++i)
+        for (size_t l = 0; l < n; ++l)
+            in[i * n + l] = rng.uniform(p1[i]);
+    for (auto _ : state) {
+        if (Exact)
+            conv.convert_exact(in.data(), n, out.data());
+        else
+            conv.convert_approx(in.data(), n, out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n * p1.size() *
+                            p2.size());
+}
+void
+BM_BaseConvertApprox(benchmark::State &state)
+{
+    BM_BaseConvert<false>(state);
+}
+void
+BM_BaseConvertExact(benchmark::State &state)
+{
+    BM_BaseConvert<true>(state);
+}
+BENCHMARK(BM_BaseConvertApprox)->Args({5, 36})->Args({14, 60});
+BENCHMARK(BM_BaseConvertExact)->Args({5, 36})->Args({14, 60});
 
 void
 BM_NttRadix16Matrix(benchmark::State &state)

@@ -231,16 +231,16 @@ Evaluator::rescale_by(const Ciphertext &a, size_t count) const
             const u64 *last = c->limb(level);
             for (size_t i = 0; i < level; ++i) {
                 const Modulus &qi = mods[i];
-                const u64 ql_inv = qi.inv(ql % qi.value());
+                const u64 ql_mod = qi.reduce(ql);
+                const u64 ql_inv = qi.inv(ql_mod);
                 const u64 ws = shoup_precompute(ql_inv, qi.value());
                 const u64 *src = c->limb(i);
                 u64 *dst = next.limb(i);
                 for (size_t l = 0; l < n; ++l) {
                     // Centered lift of the dropped limb.
-                    u64 lifted = last[l] > ql / 2
-                                     ? qi.sub(last[l] % qi.value(),
-                                              ql % qi.value())
-                                     : last[l] % qi.value();
+                    const u64 r = qi.reduce(last[l]);
+                    const u64 lifted =
+                        last[l] > ql / 2 ? qi.sub(r, ql_mod) : r;
                     dst[l] = mul_shoup(qi.sub(src[l], lifted), ql_inv,
                                        ws, qi.value());
                 }

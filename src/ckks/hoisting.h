@@ -25,7 +25,8 @@ namespace neo::ckks {
 /**
  * Rotate @p ct by every step in @p steps with one shared ModUp.
  * Hybrid keys for each step's Galois element must be present in
- * @p gk. Results match Evaluator::rotate exactly.
+ * @p gk. Results decrypt to the same rotations as Evaluator::rotate
+ * and are noise-equivalent to it, not bit-identical (see above).
  */
 std::vector<Ciphertext> rotate_hoisted(const Ciphertext &ct,
                                        const std::vector<i64> &steps,

@@ -66,8 +66,8 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
 
     if (fuse) {
         // Fused kernel: the (c - corr)·P⁻¹ fix rides in the BConv
-        // epilogue. Per element this is convert_approx's accumulation
-        // verbatim, followed immediately by the unfused fix's exact
+        // epilogue. Per element this is convert_approx's row
+        // accumulation, followed immediately by the unfused fix's exact
         // operation sequence — the correction never touches DRAM and
         // the standalone fix pass (and its launch) disappears.
         obs::Span fused_span("moddown_fused", obs::cat::bconv);
@@ -87,23 +87,15 @@ mod_down(const RnsPoly &ext_poly, size_t level, const CkksContext &ctx,
         // per-limb work in identical order within each limb.
         for (const auto &shard : make_even_partition(level + 1, devices)) {
         for (size_t j = shard.first; j < shard.first + shard.count; ++j) {
-            const Modulus &tj = conv.to()[j];
             const Modulus &qj = lv.active[j];
             const u64 p_inv = lv.p_inv[j];
             const u64 ps = lv.p_inv_shoup[j];
             const u64 *src = ext_poly.limb(j);
             u64 *dst = out.limb(j);
-            for (size_t l = 0; l < n; ++l) {
-                u128 acc = 0;
-                for (size_t i = 0; i < k_special; ++i) {
-                    acc +=
-                        static_cast<u128>(tj.reduce(scaled[i * n + l])) *
-                        conv.factor(i, j);
-                    acc = tj.reduce128(acc);
-                }
-                dst[l] = mul_shoup(qj.sub(src[l], static_cast<u64>(acc)),
-                                   p_inv, ps, qj.value());
-            }
+            conv.accumulate_row(scaled, n, j, [&](size_t l, u64 y) {
+                dst[l] =
+                    mul_shoup(qj.sub(src[l], y), p_inv, ps, qj.value());
+            });
         }
         }
         ks_count("ks.moddown_products", k_special * (level + 1));

@@ -12,6 +12,12 @@
  * Point-wise products in this domain therefore realise negacyclic
  * convolution. The ψ-twist is the "twisting factor" multiplication
  * the paper's Fig 9 shows between the matrix-multiplication stages.
+ *
+ * The radix-2 transform (NttTables::forward/inverse) is the host copy
+ * of Neo's CUDA-core NTT: one merged negacyclic Cooley–Tukey pass
+ * forward and one Gentleman–Sande pass inverse, with the ψ-twist and
+ * n⁻¹ folded into the butterflies and Harvey's lazy reduction; see
+ * DESIGN.md "Division-free CUDA-core host kernels".
  */
 #pragma once
 
@@ -69,14 +75,8 @@ class NttTables
     /// In-place forward negacyclic NTT of @p a (n values < q).
     void forward(u64 *a) const;
 
-    /// In-place inverse negacyclic NTT.
+    /// In-place inverse negacyclic NTT (n values < q).
     void inverse(u64 *a) const;
-
-    /// Forward cyclic NTT (no ψ twist) — building block for four-step.
-    void forward_cyclic(u64 *a) const;
-
-    /// Inverse cyclic NTT without the 1/n scaling.
-    void inverse_cyclic_unscaled(u64 *a) const;
 
   private:
     size_t n_;
@@ -84,6 +84,10 @@ class NttTables
     u64 psi_;
     u64 n_inv_;
     u64 n_inv_shoup_;
+    /// ψ^{-n/2}·n⁻¹, the last inverse stage's twiddle with n⁻¹ folded
+    /// in, and its Shoup companion.
+    u64 inv_last_;
+    u64 inv_last_shoup_;
     std::vector<u64> psi_pow_, psi_pow_shoup_;
     std::vector<u64> psi_inv_pow_, psi_inv_pow_shoup_;
     std::vector<u64> w_pow_, w_pow_shoup_;

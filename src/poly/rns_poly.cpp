@@ -170,9 +170,11 @@ automorphism_coeff(const u64 *in, u64 *out, size_t n, u64 g,
                    const Modulus &q)
 {
     NEO_CHECK(g % 2 == 1, "Galois element must be odd");
-    const u64 two_n = 2 * n;
+    NEO_ASSERT(is_pow2(n), "ring degree must be a power of two");
+    // 2n is a power of two, so the wrapping product reduces by a mask.
+    const u64 mask = 2 * n - 1;
     for (size_t i = 0; i < n; ++i) {
-        u64 j = (static_cast<u128>(i) * g) % two_n;
+        u64 j = (i * g) & mask;
         if (j < n) {
             out[j] = in[i];
         } else {
@@ -186,11 +188,12 @@ automorphism_eval(const u64 *in, u64 *out, size_t n, u64 g,
                   const Modulus &)
 {
     NEO_CHECK(g % 2 == 1, "Galois element must be odd");
-    const u64 two_n = 2 * n;
+    NEO_ASSERT(is_pow2(n), "ring degree must be a power of two");
+    const u64 mask = 2 * n - 1;
     // Slot k holds the evaluation at ψ^{2k+1}; the automorphism sends
     // it to the evaluation at ψ^{(2k+1)g mod 2n}.
     for (size_t k = 0; k < n; ++k) {
-        u64 e = (static_cast<u128>(2 * k + 1) * g) % two_n;
+        u64 e = ((2 * k + 1) * g) & mask;
         size_t src = static_cast<size_t>((e - 1) / 2);
         out[k] = in[src];
     }

@@ -16,6 +16,7 @@ BaseConverter::BaseConverter(const RnsBasis &from, const RnsBasis &to)
     punc_mod_to_.resize(k * m);
     punc_mod_to_shoup_.resize(k * m);
     b_mod_to_.resize(m);
+    b_mod_to_shoup_.resize(m);
     inv_from_.resize(k);
     for (size_t j = 0; j < m; ++j) {
         const Modulus &tj = to_[j];
@@ -25,6 +26,7 @@ BaseConverter::BaseConverter(const RnsBasis &from, const RnsBasis &to)
             punc_mod_to_shoup_[i * m + j] = shoup_precompute(f, tj.value());
         }
         b_mod_to_[j] = from_.product_mod(tj);
+        b_mod_to_shoup_[j] = shoup_precompute(b_mod_to_[j], tj.value());
     }
     for (size_t i = 0; i < k; ++i)
         // Shenoy–Kumaresan overflow estimation is float-assisted by
@@ -64,20 +66,8 @@ BaseConverter::convert_approx(const u64 *in, size_t n, u64 *out) const
     u64 *scaled = frame.alloc<u64>(k * n);
     scale_inputs(in, n, scaled);
     for (size_t j = 0; j < m; ++j) {
-        const Modulus &tj = to_[j];
         u64 *dst = out + j * n;
-        for (size_t l = 0; l < n; ++l) {
-            u128 acc = 0;
-            for (size_t i = 0; i < k; ++i) {
-                acc += static_cast<u128>(tj.reduce(scaled[i * n + l])) *
-                       punc_mod_to_[i * m + j];
-                // Keep the accumulator bounded (q < 2^63, so at most
-                // ~2 additions fit without reduction at 63-bit q; fold
-                // every iteration for safety).
-                acc = tj.reduce128(acc);
-            }
-            dst[l] = static_cast<u64>(acc);
-        }
+        accumulate_row(scaled, n, j, [&](size_t l, u64 y) { dst[l] = y; });
     }
 }
 
@@ -107,18 +97,13 @@ BaseConverter::convert_exact(const u64 *in, size_t n, u64 *out) const
     }
     for (size_t j = 0; j < m; ++j) {
         const Modulus &tj = to_[j];
+        const u64 bj = b_mod_to_[j];
+        const u64 bs = b_mod_to_shoup_[j];
         u64 *dst = out + j * n;
-        for (size_t l = 0; l < n; ++l) {
-            u128 acc = 0;
-            for (size_t i = 0; i < k; ++i) {
-                acc += static_cast<u128>(tj.reduce(scaled[i * n + l])) *
-                       punc_mod_to_[i * m + j];
-                acc = tj.reduce128(acc);
-            }
+        accumulate_row(scaled, n, j, [&](size_t l, u64 y) {
             // Subtract r * B mod t_j.
-            u64 corr = tj.mul(tj.reduce(overflow[l]), b_mod_to_[j]);
-            dst[l] = tj.sub(static_cast<u64>(acc), corr);
-        }
+            dst[l] = tj.sub(y, mul_shoup(overflow[l], bj, bs, tj.value()));
+        });
     }
 }
 

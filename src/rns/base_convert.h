@@ -22,7 +22,8 @@
  *
  * Both operate limb-wise on arrays of n coefficients so that the
  * element-wise and matrix forms of the paper's Algorithms 1 and 2 can
- * be expressed on top of them.
+ * be expressed on top of them. Both, and the fused ModDown, share one
+ * division-free row accumulation (accumulate_row).
  */
 #pragma once
 
@@ -67,6 +68,56 @@ class BaseConverter
      */
     void scale_inputs(const u64 *in, size_t n, u64 *scaled) const;
 
+    /**
+     * Row @p j of a conversion from scale_inputs' output @p scaled
+     * (from.size() limbs of @p n): calls emit(l, y_l) for l < n, with
+     * y_l = Σ_i scaled_i[l]·[B/b_i]_{t_j} mod t_j reduced.
+     *
+     * Division-free: each term is a lazy Shoup product below 2·t_j, so
+     * a u64 sum holds ⌊2^63/t_j⌋ terms (a reduced partial sum counts as
+     * one) between Barrett reductions. Targets above 2^62 hold only
+     * one, so their rows add reduced terms instead.
+     */
+    template <class Emit>
+    void
+    accumulate_row(const u64 *scaled, size_t n, size_t j,
+                   Emit &&emit) const
+    {
+        const size_t k = from_.size();
+        const size_t m = to_.size();
+        const Modulus &tj = to_[j];
+        const u64 t = tj.value();
+        const u64 *f = punc_mod_to_.data() + j;
+        const u64 *fs = punc_mod_to_shoup_.data() + j;
+        const u64 lazy = (1ULL << 63) / t;
+        if (lazy < 2) {
+            for (size_t l = 0; l < n; ++l) {
+                u64 acc = 0;
+                for (size_t i = 0; i < k; ++i)
+                    acc = add_mod(acc,
+                                  mul_shoup(scaled[i * n + l], f[i * m],
+                                            fs[i * m], t),
+                                  t);
+                emit(l, acc);
+            }
+            return;
+        }
+        for (size_t l = 0; l < n; ++l) {
+            u64 acc = 0;
+            size_t i = 0;
+            for (u64 room = lazy;; room = lazy - 1) {
+                const size_t end = k - i < room ? k : i + room;
+                for (; i < end; ++i)
+                    acc += mul_shoup_lazy(scaled[i * n + l], f[i * m],
+                                          fs[i * m], t);
+                acc = tj.reduce(acc);
+                if (i == k)
+                    break;
+            }
+            emit(l, acc);
+        }
+    }
+
     /// [B/b_i] mod t_j — the matrix the paper's Algorithm 2 multiplies by.
     u64 factor(size_t i, size_t j) const
     {
@@ -82,6 +133,7 @@ class BaseConverter
     std::vector<u64> punc_mod_to_;       // [i*|to| + j] = (B/b_i) mod t_j
     std::vector<u64> punc_mod_to_shoup_; // Shoup companions
     std::vector<u64> b_mod_to_;          // B mod t_j
+    std::vector<u64> b_mod_to_shoup_;    // Shoup companions
     std::vector<double> inv_from_;       // 1.0 / b_i
 };
 

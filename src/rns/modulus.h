@@ -44,18 +44,29 @@ class Modulus
     /// Bit width of q.
     int bits() const { return bit_size(value_); }
 
-    /// (a * b) mod q.
+    /**
+     * (a * b) mod q, division-free through barrett_reduce. Requires one
+     * operand below q (either one; the other may be any 64-bit value),
+     * so that a·b < q·2^64.
+     */
     u64
     mul(u64 a, u64 b) const
     {
-        return static_cast<u64>((static_cast<u128>(a) * b) % value_);
+        NEO_ASSERT(a < value_ || b < value_,
+                   "Modulus::mul needs one operand below q");
+        return barrett_reduce(static_cast<u128>(a) * b);
     }
 
     /**
      * Barrett reduction of a 128-bit value using the precomputed
-     * floor(2^128/q): one mulhi chain and at most two corrections —
-     * the division-free reduction GPU kernels use. Requires
-     * x < q·2^64 (always true for products of reduced operands).
+     * floor(2^128/q): one mulhi chain and one correction — the
+     * division-free reduction GPU kernels use. Requires x < q·2^64
+     * (true for any product with one operand below q).
+     *
+     * The dropped low word of lo·ratio_lo cannot carry into the top
+     * word, so q_est = floor(x·ratio / 2^128) exactly, and the ratio's
+     * truncation costs less than x / 2^128 < 1: q_est ≥ floor(x/q) − 1,
+     * the remainder lies in [0, 2q) and one correction reduces it.
      */
     u64
     barrett_reduce(u128 x) const
@@ -68,18 +79,10 @@ class Modulus
             (static_cast<u128>(lo) * ratio_lo_ >> 64) +
             static_cast<u128>(lo) * ratio_hi_ +
             static_cast<u128>(hi) * ratio_lo_;
-        const u128 q_est = (mid >> 64) + static_cast<u128>(hi) * ratio_hi_;
-        u128 r = x - q_est * value_;
-        while (r >= value_)
-            r -= value_;
-        return static_cast<u64>(r);
-    }
-
-    /// (a * b) mod q via Barrett (equals mul; division-free).
-    u64
-    mul_barrett(u64 a, u64 b) const
-    {
-        return barrett_reduce(static_cast<u128>(a) * b);
+        // The remainder fits a word, so the low words suffice.
+        const u64 q_est = static_cast<u64>(mid >> 64) + hi * ratio_hi_;
+        const u64 r = lo - q_est * value_;
+        return r >= value_ ? r - value_ : r;
     }
 
     /// (a + b) mod q with a,b < q.
@@ -94,8 +97,8 @@ class Modulus
     /// a^-1 mod q (q prime).
     u64 inv(u64 a) const { return inv_mod(a, value_); }
 
-    /// Reduce an arbitrary 64-bit value.
-    u64 reduce(u64 a) const { return a % value_; }
+    /// Reduce an arbitrary 64-bit value (Barrett, division-free).
+    u64 reduce(u64 a) const { return barrett_reduce(a); }
 
     /// Reduce a 128-bit value.
     u64 reduce128(u128 a) const { return static_cast<u64>(a % value_); }

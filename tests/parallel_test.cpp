@@ -142,23 +142,34 @@ TEST(ParallelDeterminism, Fp64GemmBitIdenticalAcrossThreadCounts)
 
 TEST(ParallelDeterminism, BatchNttBitIdenticalAcrossThreadCounts)
 {
-    const size_t n = 1 << 13;
-    Modulus q(generate_ntt_primes(48, 1, n)[0]);
-    NttTables tables(n, q);
-    Rng rng(12);
-    auto input = rng.uniform_vec(n, q.value());
+    // Both sizes fan each stage out; 2^16 is the largest ring degree.
+    for (auto [n, bits] : {std::pair<size_t, int>{1 << 13, 48},
+                           {1 << 16, 60}}) {
+        Modulus q(generate_ntt_primes(bits, 1, n)[0]);
+        NttTables tables(n, q);
+        Rng rng(12);
+        auto input = rng.uniform_vec(n, q.value());
+        auto spectrum = rng.uniform_vec(n, q.value());
 
-    use_threads(1);
-    auto ref = input;
-    tables.forward(ref.data());
+        use_threads(1);
+        auto ref = input;
+        tables.forward(ref.data());
+        auto ref_inv = spectrum;
+        tables.inverse(ref_inv.data());
 
-    for (size_t tc : kThreadCounts) {
-        use_threads(tc);
-        auto got = input;
-        tables.forward(got.data());
-        EXPECT_EQ(got, ref) << "threads=" << tc;
-        tables.inverse(got.data());
-        EXPECT_EQ(got, input) << "roundtrip threads=" << tc;
+        for (size_t tc : kThreadCounts) {
+            use_threads(tc);
+            auto got = input;
+            tables.forward(got.data());
+            EXPECT_EQ(got, ref) << "n=" << n << " threads=" << tc;
+            tables.inverse(got.data());
+            EXPECT_EQ(got, input)
+                << "n=" << n << " roundtrip threads=" << tc;
+            auto got_inv = spectrum;
+            tables.inverse(got_inv.data());
+            EXPECT_EQ(got_inv, ref_inv)
+                << "n=" << n << " inverse threads=" << tc;
+        }
     }
     use_threads(1);
 }

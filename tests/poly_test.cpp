@@ -33,6 +33,72 @@ TEST(Ntt, RoundTrip)
     }
 }
 
+/// a·b mod q through the u128 remainder: a reference independent of
+/// Modulus::mul's Barrett reduction.
+u64
+mulmod_ref(u64 a, u64 b, u64 q)
+{
+    return static_cast<u64>(static_cast<u128>(a) * b % q);
+}
+
+TEST(Ntt, MatchesDirectEvaluationAcrossModulusSizes)
+{
+    // X[k] = Σ_i a_i ψ^{(2k+1)i} by Horner's rule in O(n²). 62-bit
+    // moduli take the lazy [0, 4q) butterflies right at their limit,
+    // 63-bit moduli the fully reduced ones.
+    for (int bits : {30, 36, 48, 60, 62, 63}) {
+        for (size_t n : {8u, 256u, 1024u}) {
+            Modulus q = test_modulus(n, bits);
+            const u64 qv = q.value();
+            NttTables t(n, q);
+            const u64 psi = t.psi();
+            u64 psi_n = 1;
+            for (size_t i = 0; i < n; ++i)
+                psi_n = mulmod_ref(psi_n, psi, qv);
+            ASSERT_EQ(psi_n, qv - 1) << "ψ is not a primitive 2n-th root";
+
+            Rng rng(static_cast<u64>(bits) * n);
+            auto a = rng.uniform_vec(n, qv);
+            a[0] = qv - 1;
+            a[n - 1] = qv - 1;
+            std::vector<u64> want(n);
+            const u64 psi2 = mulmod_ref(psi, psi, qv);
+            u64 x = psi; // ψ^{2k+1}
+            for (size_t k = 0; k < n; ++k) {
+                u64 acc = 0;
+                for (size_t i = n; i-- > 0;)
+                    acc = static_cast<u64>(
+                        (static_cast<u128>(acc) * x + a[i]) % qv);
+                want[k] = acc;
+                x = mulmod_ref(x, psi2, qv);
+            }
+            auto got = a;
+            t.forward(got.data());
+            EXPECT_EQ(got, want) << "bits=" << bits << " n=" << n;
+            t.inverse(got.data());
+            EXPECT_EQ(got, a) << "inverse bits=" << bits << " n=" << n;
+        }
+    }
+}
+
+TEST(Ntt, RoundTripAtLargestRingDegree)
+{
+    const size_t n = 1 << 16;
+    for (int bits : {30, 36, 48, 60, 62, 63}) {
+        Modulus q = test_modulus(n, bits);
+        NttTables t(n, q);
+        Rng rng(static_cast<u64>(bits));
+        auto a = rng.uniform_vec(n, q.value());
+        a[0] = q.value() - 1;
+        auto b = a;
+        t.forward(b.data());
+        for (u64 v : b)
+            ASSERT_LT(v, q.value()) << "bits=" << bits;
+        t.inverse(b.data());
+        EXPECT_EQ(a, b) << "bits=" << bits;
+    }
+}
+
 TEST(Ntt, PointwiseProductMatchesNegacyclicConvolution)
 {
     const size_t n = 128;

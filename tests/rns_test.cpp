@@ -80,21 +80,38 @@ TEST(Modulus, MulAddSubPow)
 
 TEST(Modulus, BarrettMultiplicationMatchesExact)
 {
+    // Modulus::mul and reduce are Barrett reductions: they must equal
+    // the u128 remainder for every a < 2^64 once the other operand is
+    // below q, on both sides of the 2^62 lazy-NTT limit.
     Rng rng(7);
-    for (int bits : {30, 36, 48, 60, 62}) {
+    for (int bits : {30, 36, 48, 60, 62, 63}) {
         auto primes = generate_ntt_primes(bits, 1, 1 << 10);
         Modulus q(primes[0]);
-        for (int i = 0; i < 500; ++i) {
-            u64 a = rng.uniform(q.value());
-            u64 b = rng.uniform(q.value());
-            EXPECT_EQ(q.mul_barrett(a, b), q.mul(a, b))
+        const u64 qv = q.value();
+        const auto want = [&](u64 a, u64 b) {
+            return static_cast<u64>(static_cast<u128>(a) * b % qv);
+        };
+        for (int i = 0; i < 2000; ++i) {
+            u64 a = i % 2 ? rng.uniform(qv) : rng.next();
+            if (i < 4)
+                a = ~0ULL - static_cast<u64>(i);
+            const u64 b = i < 8 ? qv - 1 - static_cast<u64>(i % 2)
+                                : rng.uniform(qv);
+            EXPECT_EQ(q.mul(a, b), want(a, b))
                 << "bits=" << bits << " a=" << a << " b=" << b;
+            EXPECT_EQ(q.mul(b, a), want(a, b))
+                << "bits=" << bits << " a=" << a << " b=" << b;
+            EXPECT_EQ(q.reduce(a), a % qv)
+                << "bits=" << bits << " a=" << a;
         }
         // Extremes.
-        EXPECT_EQ(q.mul_barrett(q.value() - 1, q.value() - 1),
-                  q.mul(q.value() - 1, q.value() - 1));
-        EXPECT_EQ(q.mul_barrett(0, q.value() - 1), 0u);
-        EXPECT_EQ(q.mul_barrett(1, 1), 1u);
+        EXPECT_EQ(q.mul(qv - 1, qv - 1), want(qv - 1, qv - 1));
+        EXPECT_EQ(q.mul(0, qv - 1), 0u);
+        EXPECT_EQ(q.mul(1, 1), 1u);
+        EXPECT_EQ(q.reduce(qv), 0u);
+        EXPECT_EQ(q.reduce(qv - 1), qv - 1);
+        // Both operands at or above q break the a·b < q·2^64 bound.
+        EXPECT_THROW(q.mul(qv, qv), std::logic_error);
     }
 }
 
@@ -267,6 +284,82 @@ TEST(BaseConverter, ExactConversionZeroAndEdges)
         EXPECT_EQ(out[j * n + 0], 0u);
         EXPECT_EQ(out[j * n + 1], 1u);
         EXPECT_EQ(out[j * n + 2], p2[j] - 1);
+    }
+}
+
+TEST(BaseConverter, LazyAccumulationMatchesU128Reference)
+{
+    // Up to 14 source primes into 60-, 62- and 63-bit targets: a
+    // 60-bit row folds its lazy u64 sum every 8 terms, a 62-bit row
+    // every 2 (where an unfolded sum overflows), and a 63-bit row adds
+    // reduced terms, so both accumulation paths run.
+    Rng rng(21);
+    const size_t n = 32;
+    for (auto [count, bits] : {std::pair{2, 36}, {5, 60}, {14, 36},
+                               {14, 60}, {14, 63}}) {
+        auto p1 = generate_ntt_primes(bits, count, 1 << 10);
+        for (int tbits : {60, 62, 63}) {
+            auto p2 = generate_ntt_primes(tbits, 3, 1 << 10, p1);
+            RnsBasis from(p1), to(p2);
+            BaseConverter conv(from, to);
+            std::vector<u64> in(p1.size() * n), out(3 * n);
+            for (size_t i = 0; i < p1.size(); ++i)
+                for (size_t l = 0; l < n; ++l)
+                    in[i * n + l] = l < 2 ? p1[i] - 1 - l
+                                          : rng.uniform(p1[i]);
+            conv.convert_approx(in.data(), n, out.data());
+            for (size_t j = 0; j < 3; ++j)
+                for (size_t l = 0; l < n; ++l) {
+                    u128 acc = 0;
+                    for (size_t i = 0; i < p1.size(); ++i) {
+                        const u64 scaled = static_cast<u64>(
+                            static_cast<u128>(in[i * n + l]) *
+                            from.punc_inv(i) % p1[i]);
+                        acc = (acc + static_cast<u128>(scaled % p2[j]) *
+                                         conv.factor(i, j)) %
+                              p2[j];
+                    }
+                    EXPECT_EQ(out[j * n + l], static_cast<u64>(acc))
+                        << count << "x" << bits << " -> " << tbits
+                        << " limb " << j << " coef " << l;
+                }
+
+            // Exact conversion of centered values |x| < 2^126, or up
+            // to B/2·(1 − 2^-20) when B fits a u128 (the float overflow
+            // estimate needs some margin below B/2).
+            u128 half = ~static_cast<u128>(0) >> 2;
+            if (count * bits < 127) {
+                u128 big = 1;
+                for (u64 p : p1)
+                    big *= p;
+                half = big / 2 - (big >> 21);
+            }
+            std::vector<i128> truth(n);
+            for (size_t l = 0; l < n; ++l) {
+                const u128 mag =
+                    l < 2 ? half - l
+                          : ((static_cast<u128>(rng.next()) << 64) |
+                             rng.next()) %
+                                half;
+                const bool neg = (l & 1) != 0;
+                truth[l] = neg ? -static_cast<i128>(mag)
+                               : static_cast<i128>(mag);
+                for (size_t i = 0; i < p1.size(); ++i) {
+                    const u64 r = static_cast<u64>(mag % p1[i]);
+                    in[i * n + l] = neg && r != 0 ? p1[i] - r : r;
+                }
+            }
+            conv.convert_exact(in.data(), n, out.data());
+            for (size_t j = 0; j < 3; ++j)
+                for (size_t l = 0; l < n; ++l) {
+                    i128 t = truth[l] % static_cast<i128>(p2[j]);
+                    if (t < 0)
+                        t += p2[j];
+                    EXPECT_EQ(out[j * n + l], static_cast<u64>(t))
+                        << count << "x" << bits << " -> " << tbits
+                        << " exact limb " << j << " coef " << l;
+                }
+        }
     }
 }
 
