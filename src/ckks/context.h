@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "ckks/encoder.h"
@@ -25,6 +26,10 @@
 #include "rns/base_convert.h"
 #include "rns/basis.h"
 #include "rns/partition.h"
+
+namespace neo {
+class PipelineKernels;
+} // namespace neo
 
 namespace neo::ckks {
 
@@ -37,7 +42,12 @@ struct Plaintext
     double scale = 1.0;
 };
 
-/** Shared state for one CKKS instantiation. */
+/**
+ * Shared state for one CKKS instantiation. The context owns the state
+ * derived from it: the key-switch invariants (KeySwitchPrecomp) and
+ * the Neo pipeline's kernels (neo::PipelineKernels), both built on
+ * first use and destroyed with the context.
+ */
 class CkksContext
 {
   public:
@@ -46,16 +56,23 @@ class CkksContext
     CkksContext(const CkksContext &) = delete;
     CkksContext &operator=(const CkksContext &) = delete;
 
-    /**
-     * Process-unique id of this context instance (monotonic counter).
-     * Caches outside the ckks layer (e.g. the pipeline's kernel cache)
-     * key on it instead of the address, so a context reallocated at a
-     * freed context's address can never alias its cached state.
-     */
-    u64 uid() const { return uid_; }
-
     /// Cached per-level key-switch invariants (bases, converters).
     const KeySwitchPrecomp &precomp() const { return *precomp_; }
+
+    /**
+     * The Neo pipeline's kernels for this context (neo/pipeline.cpp):
+     * built by @p build on the first call, then returned unchanged
+     * until the context is destroyed. Concurrent first calls build
+     * once.
+     */
+    template <class Build>
+    const neo::PipelineKernels &
+    pipeline_kernels(Build &&build) const
+    {
+        std::call_once(pipeline_once_,
+                       [&] { pipeline_kernels_ = build(); });
+        return *pipeline_kernels_;
+    }
 
     const CkksParams &params() const { return params_; }
     const Encoder &encoder() const { return encoder_; }
@@ -128,8 +145,13 @@ class CkksContext
     NttTableSet t_tables_;
     size_t alpha_prime_ = 0;
     std::vector<DigitGroup> klss_key_partition_;
-    u64 uid_ = 0;
     std::unique_ptr<KeySwitchPrecomp> precomp_;
+    mutable std::once_flag pipeline_once_;
+    /// Written once, under pipeline_once_. Declared last, so it is
+    /// destroyed before the NTT tables its matrix NTTs reference. A
+    /// shared_ptr binds its deleter where neo::PipelineKernels is
+    /// complete, so this layer never needs it.
+    mutable std::shared_ptr<const neo::PipelineKernels> pipeline_kernels_;
 };
 
 } // namespace neo::ckks

@@ -46,12 +46,8 @@ KeySwitchPrecomp::level(size_t level) const
 
     lv->groups = ctx_.digit_partition(level);
     const bool klss = ctx_.params().klss.enabled();
-    if (klss) {
-        const size_t k_special = ctx_.p_basis().size();
-        const size_t alpha_tilde = ctx_.params().klss.alpha_tilde;
-        lv->beta_tilde =
-            (level + 1 + k_special + alpha_tilde - 1) / alpha_tilde;
-    }
+    if (klss)
+        lv->beta_tilde = ctx_.params().beta_tilde(level);
     lv->digits.reserve(lv->groups.size());
     for (const auto &g : lv->groups) {
         Digit d;

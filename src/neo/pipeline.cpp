@@ -1,15 +1,14 @@
 #include "neo/pipeline.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "ckks/keys.h"
 #include "ckks/ks_precomp.h"
 #include "common/check.h"
-#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
 #include "gpusim/memory_model.h"
@@ -27,147 +26,80 @@ namespace neo {
 using ckks::CkksContext;
 using ckks::KlssEvalKey;
 
+/**
+ * The kernels and transforms of one context's pipeline, owned by the
+ * context (CkksContext::pipeline_kernels) and destroyed with it.
+ * Building them per call would dominate small-ring runs — a MatrixNtt
+ * construction fills two twiddle matrices and a BConvKernel
+ * construction is O(α·α') modular exponentiations. The kernels also
+ * own their static GEMM operands, so the bit-sliced planes built on
+ * first use are reused across calls and freed with the context.
+ *
+ * The matrix NTTs are built in the constructor and never change, so
+ * they are read without a lock; the per-level BConv kernels are built
+ * on the first key switch at their level.
+ */
+class PipelineKernels
+{
+  public:
+    /// ModUp and Recover kernels of one level.
+    struct Level
+    {
+        std::vector<BConvKernel> modup; ///< one per ciphertext digit
+        /// One per key digit; null when the group is empty at this
+        /// level.
+        std::vector<std::unique_ptr<BConvKernel>> recover;
+    };
+
+    explicit PipelineKernels(const CkksContext &ctx) : ctx_(ctx)
+    {
+        const size_t radix = std::min<size_t>(16, ctx.n());
+        t_ntt.reserve(ctx.alpha_prime());
+        for (const Modulus &t : ctx.t_basis().mods())
+            t_ntt.emplace_back(ctx.t_tables().for_modulus(t), radix);
+        q_ntt.reserve(ctx.max_level() + 1);
+        for (const Modulus &q : ctx.q_basis().mods())
+            q_ntt.emplace_back(ctx.tables().for_modulus(q), radix);
+    }
+
+    std::vector<MatrixNtt> t_ntt; ///< radix-16 NTT per T limb
+    std::vector<MatrixNtt> q_ntt; ///< radix-16 NTT per q limb
+
+    /// The kernels of @p level, built on first use; stable reference.
+    const Level &
+    level(size_t level) const
+    {
+        return levels_.get(level, [&] {
+            const auto &lv = ctx_.precomp().level(level);
+            Level lk;
+            lk.modup.reserve(lv.groups.size());
+            for (const auto &g : lv.groups)
+                lk.modup.emplace_back(
+                    ctx_.q_basis().slice(g.first, g.count), ctx_.t_basis());
+            const auto &key_partition = ctx_.klss_key_partition();
+            const size_t active = level + 1 + ctx_.p_basis().size();
+            lk.recover.resize(lv.beta_tilde);
+            for (size_t i = 0; i < lv.beta_tilde; ++i) {
+                const auto &grp = key_partition[i];
+                const size_t last = std::min(grp.first + grp.count, active);
+                if (grp.first >= last)
+                    continue;
+                std::vector<u64> grp_primes;
+                for (size_t t = grp.first; t < last; ++t)
+                    grp_primes.push_back(ctx_.pq_ordered_mod(t).value());
+                lk.recover[i] = std::make_unique<BConvKernel>(
+                    ctx_.t_basis(), RnsBasis(grp_primes));
+            }
+            return lk;
+        });
+    }
+
+  private:
+    const CkksContext &ctx_;
+    ckks::detail::PerLevelCache<Level> levels_;
+};
+
 namespace {
-
-/**
- * Kernels and transforms that depend only on (context, level), cached
- * across keyswitch calls. Every one of these used to be rebuilt per
- * call — a MatrixNtt construction fills two twiddle matrices and a
- * BConvKernel construction is O(α·α') modular exponentiations, which
- * together dominated small-ring pipeline runs. Cached MatrixNtt and
- * BConvKernel instances also own their static GEMM operands, so the
- * bit-sliced planes built on first use are reused across calls.
- */
-struct LevelKernels
-{
-    std::vector<BConvKernel> modup; ///< one per ciphertext digit
-    /// One per key digit; null when the group is empty at this level.
-    std::vector<std::unique_ptr<BConvKernel>> recover;
-};
-
-struct PipelineCache
-{
-    Mutex mu;
-    /// Per T limb (level-independent).
-    std::vector<MatrixNtt> t_ntt NEO_GUARDED_BY(mu);
-    /// Per q limb, lazy.
-    std::vector<std::unique_ptr<MatrixNtt>> qntt NEO_GUARDED_BY(mu);
-    std::vector<std::unique_ptr<LevelKernels>> levels NEO_GUARDED_BY(mu);
-    /// LRU stamp — guarded by the *registry's* lock (reg_mu in
-    /// pipeline_cache_for), which neither the attribute grammar nor
-    /// the lint symbol table can name from here; never touched under
-    /// mu. neo-lint: allow(nonatomic-shared-counter)
-    u64 last_use = 0;
-
-    /// Post-ensure_level read access — documented analysis exception:
-    /// the vectors are sized once at construction, each slot is
-    /// published exactly once under mu by ensure_level, and callers
-    /// only read slots their own ensure_level call already built,
-    /// which are immutable from then on. The unlocked reads race with
-    /// nothing.
-    const std::vector<MatrixNtt> &
-    t_ntt_built() const NEO_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return t_ntt;
-    }
-    const MatrixNtt &
-    qntt_built(size_t i) const NEO_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return *qntt[i];
-    }
-};
-
-/**
- * Registry of pipeline caches keyed by CkksContext::uid() (never the
- * address — a context reallocated at a freed context's address must
- * not see its predecessor's kernels). Bounded to a small working set;
- * eviction is safe because callers hold a shared_ptr for the duration
- * of the call, and an evicted cache's planes die with its kernels.
- */
-// Magic-static registry guarded by the function-local reg_mu — a
-// documented NEO_NO_THREAD_SAFETY_ANALYSIS exception (the attribute
-// grammar cannot name a function-local capability; every access to
-// tick/reg/last_use below happens under reg_mu).
-std::shared_ptr<PipelineCache>
-pipeline_cache_for(const CkksContext &ctx) NEO_NO_THREAD_SAFETY_ANALYSIS
-{
-    static Mutex reg_mu;
-    // tick and reg are only ever touched under reg_mu.
-    // neo-lint: allow(thread-unsafe-static)
-    static u64 tick = 0;
-    // neo-lint: allow(thread-unsafe-static)
-    static std::map<u64, std::shared_ptr<PipelineCache>> reg;
-    constexpr size_t kMaxContexts = 4;
-
-    LockGuard lock(reg_mu);
-    auto &slot = reg[ctx.uid()];
-    if (slot == nullptr) {
-        slot = std::make_shared<PipelineCache>();
-        slot->qntt.resize(ctx.max_level() + 1);
-        slot->levels.resize(ctx.max_level() + 1);
-    }
-    slot->last_use = ++tick;
-    auto out = slot;
-    while (reg.size() > kMaxContexts) {
-        auto victim = reg.begin();
-        for (auto it = reg.begin(); it != reg.end(); ++it)
-            if (it->second->last_use < victim->second->last_use)
-                victim = it;
-        reg.erase(victim);
-        obs::add_gauge("ks.cache.evictions", 1.0);
-    }
-    obs::set_gauge("ks.cache.contexts", static_cast<double>(reg.size()));
-    return out;
-}
-
-/// Build (on first use) everything this keyswitch level needs.
-LevelKernels &
-ensure_level(PipelineCache &pc, const CkksContext &ctx, size_t level)
-{
-    const size_t n = ctx.n();
-    const size_t k_special = ctx.p_basis().size();
-    const size_t alpha_p = ctx.alpha_prime();
-    const auto &lv = ctx.precomp().level(level);
-
-    LockGuard lock(pc.mu);
-    if (pc.t_ntt.empty()) {
-        pc.t_ntt.reserve(alpha_p);
-        for (size_t k = 0; k < alpha_p; ++k) {
-            pc.t_ntt.emplace_back(
-                ctx.t_tables().for_modulus(ctx.t_basis()[k]),
-                std::min<size_t>(16, n));
-        }
-    }
-    for (size_t i = 0; i <= level; ++i) {
-        if (pc.qntt[i] == nullptr)
-            pc.qntt[i] = std::make_unique<MatrixNtt>(
-                ctx.tables().for_modulus(ctx.q_basis()[i]),
-                std::min<size_t>(16, n));
-    }
-    if (pc.levels[level] == nullptr) {
-        auto lk = std::make_unique<LevelKernels>();
-        lk->modup.reserve(lv.groups.size());
-        for (const auto &g : lv.groups)
-            lk->modup.emplace_back(ctx.q_basis().slice(g.first, g.count),
-                                   ctx.t_basis());
-        const auto &key_partition = ctx.klss_key_partition();
-        const size_t active = level + 1 + k_special;
-        lk->recover.resize(lv.beta_tilde);
-        for (size_t i = 0; i < lv.beta_tilde; ++i) {
-            const auto &grp = key_partition[i];
-            const size_t last = std::min(grp.first + grp.count, active);
-            if (grp.first >= last)
-                continue;
-            std::vector<u64> grp_primes;
-            for (size_t t = grp.first; t < last; ++t)
-                grp_primes.push_back(ctx.pq_ordered_mod(t).value());
-            lk->recover[i] = std::make_unique<BConvKernel>(
-                ctx.t_basis(), RnsBasis(grp_primes));
-        }
-        pc.levels[level] = std::move(lk);
-    }
-    return *pc.levels[level];
-}
 
 /**
  * Resolved per-stage GEMM bindings of one pipeline run. A fixed
@@ -253,13 +185,12 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
     NEO_CHECK(beta <= evk.beta_max && beta_tilde <= evk.beta_tilde_max,
               "evaluation key too small for this level");
 
-    // Cached kernels for this (context, level): radix-16 matrix NTTs
-    // over T and Q, ModUp and Recover BConv kernels. Holding the
-    // shared_ptr keeps the cache alive even if another thread evicts
-    // this context from the registry mid-call.
-    auto cache = pipeline_cache_for(ctx);
-    LevelKernels &lk = ensure_level(*cache, ctx, level);
-    const std::vector<MatrixNtt> &t_ntt = cache->t_ntt_built();
+    // This context's kernels: radix-16 matrix NTTs over T and Q, and
+    // this level's ModUp and Recover BConv kernels.
+    const PipelineKernels &kernels = ctx.pipeline_kernels(
+        [&] { return std::make_shared<PipelineKernels>(ctx); });
+    const PipelineKernels::Level &lk = kernels.level(level);
+    const std::vector<MatrixNtt> &t_ntt = kernels.t_ntt;
 
     RnsPoly d2c = d2;
     {
@@ -413,8 +344,8 @@ pipeline_run(const RnsPoly &d2, const KlssEvalKey &evk,
                 sr.first, sr.first + sr.count,
                 [&](size_t ib, size_t ie) {
                     for (size_t i = ib; i < ie; ++i)
-                        cache->qntt_built(i).forward(p->limb(i),
-                                                     *eng.ntt_q, fuse);
+                        kernels.q_ntt[i].forward(p->limb(i), *eng.ntt_q,
+                                                 fuse);
                 },
                 1);
         }
@@ -454,12 +385,9 @@ PipelineKernelCounts
 keyswitch_pipeline_kernel_counts(const CkksContext &ctx, size_t level)
 {
     const size_t n = ctx.n();
-    const size_t k_special = ctx.p_basis().size();
     const size_t alpha_p = ctx.alpha_prime();
     const size_t beta = ctx.digit_partition(level).size();
-    const size_t alpha_tilde = ctx.params().klss.alpha_tilde;
-    const size_t beta_tilde =
-        (level + 1 + k_special + alpha_tilde - 1) / alpha_tilde;
+    const size_t beta_tilde = ctx.params().beta_tilde(level);
 
     // MatrixNtt transforms: ModUp forwards over T (β·α'), IP inverses
     // over T (2·β̃·α'), final forwards over Q (2·(l+1)). The input INTT

@@ -14,6 +14,7 @@
  * Every test joins all threads before asserting, so failures are
  * deterministic even though the interleavings are not.
  */
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -23,10 +24,14 @@
 #include <gtest/gtest.h>
 
 #include "ckks/context.h"
+#include "ckks/keygen.h"
+#include "ckks/keyswitch.h"
 #include "ckks/ks_precomp.h"
 #include "ckks/params.h"
+#include "common/random.h"
 #include "common/static_operand.h"
 #include "common/types.h"
+#include "neo/pipeline.h"
 #include "obs/obs.h"
 #include "rns/primes.h"
 #include "tensor/gemm.h"
@@ -142,6 +147,55 @@ TEST(Concurrency, KeySwitchPrecompLazyBuildRace)
             }
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// Neo pipeline: concurrent first build of a context's kernels
+// ---------------------------------------------------------------------
+
+TEST(Concurrency, PipelineKernelsFirstUseRace)
+{
+    const CkksParams params = CkksParams::test_params(256, 5, 2);
+    const CkksContext ctx(params);
+    KeyGenerator keygen(ctx, 77);
+    const SecretKey sk = keygen.secret_key();
+    const KlssEvalKey rlk = keygen.to_klss(keygen.relin_key(sk));
+    const size_t nlevels = ctx.max_level() + 1;
+
+    // Serial reference outputs. keyswitch_klss never touches the
+    // pipeline's kernels, so they are still unbuilt when the threads
+    // start: all 16 race to build them, then each level's BConv
+    // kernels, on their first keyswitch.
+    std::vector<RnsPoly> inputs;
+    std::vector<std::pair<RnsPoly, RnsPoly>> expect;
+    for (size_t l = 0; l < nlevels; ++l) {
+        Rng rng(900 + l);
+        RnsPoly d2(ctx.n(), ctx.active_mods(l), PolyForm::eval);
+        for (size_t i = 0; i < d2.limbs(); ++i)
+            for (size_t c = 0; c < d2.n(); ++c)
+                d2.limb(i)[c] = rng.uniform(d2.modulus(i).value());
+        expect.push_back(keyswitch_klss(d2, rlk, ctx));
+        inputs.push_back(std::move(d2));
+    }
+
+    const auto same = [](const RnsPoly &a, const RnsPoly &b) {
+        return a.limbs() == b.limbs() &&
+               std::equal(a.data(), a.data() + a.limbs() * a.n(),
+                          b.data());
+    };
+    std::vector<int> mismatches(NTHREADS, 0);
+    hammer([&](int t) {
+        for (size_t i = 0; i < 2; ++i) {
+            const size_t l = (static_cast<size_t>(t) + i) % nlevels;
+            const auto got = keyswitch_klss_pipeline(
+                inputs[l], rlk, ctx, ExecPolicy::fixed(EngineId::fp64_tcu));
+            if (!same(got.first, expect[l].first) ||
+                !same(got.second, expect[l].second))
+                ++mismatches[t];
+        }
+    });
+    for (int t = 0; t < NTHREADS; ++t)
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 // ---------------------------------------------------------------------

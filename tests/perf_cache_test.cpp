@@ -280,10 +280,11 @@ TEST_F(PerfCache, SecondMulHitsPlaneCacheWithoutMisses)
 TEST(PerfCachePlanes, ResidentBytesStaySteadyAcrossContextChurn)
 {
     // Each round builds a context and KLSS key, switches once on the
-    // fp64 engine and destroys both. The key's planes die with the key;
-    // the context's kernels (and their planes) stay in the pipeline's
-    // LRU of 4 contexts until a newer context evicts them. From then
-    // on every round frees exactly what it adds.
+    // fp64 engine and destroys both. The key's planes die with the key
+    // and the context's kernels (with their planes) die with the
+    // context, so every round frees exactly what it adds. Round 0 may
+    // leave only the pow2 recombination tables, which are memoised per
+    // (split plan, modulus) for the process and the same every round.
     obs::Scope scope;
     const auto resident = [&] {
         return scope.registry().gauge("plane_cache.resident_bytes").current;
@@ -302,8 +303,12 @@ TEST(PerfCachePlanes, ResidentBytesStaySteadyAcrossContextChurn)
         }
         after.push_back(resident());
     }
-    EXPECT_GT(after[4], 0.0);
-    EXPECT_EQ(after[5], after[4]);
+    // Every round built planes (the peak exceeds what stays resident)
+    // and freed all of them.
+    EXPECT_GT(scope.registry().gauge("plane_cache.resident_bytes").high_water,
+              after[0]);
+    for (size_t round = 1; round < after.size(); ++round)
+        EXPECT_EQ(after[round], after[0]) << "round " << round;
 }
 
 } // namespace
